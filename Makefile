@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-commit bench-shard bench-gateway bench-mvcc bench-storage chaos experiments fuzz obs-demo clean
+.PHONY: all build test lint race bench bench-e2e bench-commit bench-shard bench-gateway bench-mvcc bench-storage chaos experiments fuzz obs-demo clean
 
 all: build lint test
 
@@ -40,6 +40,19 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md), one workload:
+#   make bench-e2e W=embedded_burst [SEED=1] [TRACE=1]   one run; TRACE=1 adds the per-layer budget
+#   make bench-e2e A=old.json B=new.json                 judge two `bench/run.sh -runs N -out F` result files
+SEED ?= 1
+TRACE ?= 0
+bench-e2e:
+ifdef A
+	bash bench/run.sh -compare $(A) $(B)
+else
+	@test -n "$(W)" || { echo "usage: make bench-e2e W=<workload> | A=<results.json> B=<results.json>"; exit 2; }
+	bash bench/run.sh --workload $(W) --seed $(SEED) --trace $(TRACE)
+endif
 
 # Per-commit fsync vs WAL group commit at 1/8/32/128 concurrent committers,
 # plus the end-to-end commit-pipeline table.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"preserial/internal/sem"
@@ -155,4 +156,45 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		}
 		_ = m.Forget(c.ID())
 	}
+}
+
+// BenchmarkPublish measures one whole commit (begin, invoke, apply, commit,
+// forget) on a manager with 1k and with 64k registered objects, each commit
+// on the next object in turn. The two figures must agree (within 1.5x):
+// publish retires horizon-queue entries, it does not walk the registry.
+func BenchmarkPublish(b *testing.B) {
+	for _, objects := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("objects=%dk", objects>>10), func(b *testing.B) {
+			m := virtualManager(b, objects)
+			ids := make([]ObjectID, objects)
+			for i := range ids {
+				ids[i] = ObjectID(fmt.Sprintf("o%d", i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := TxID(fmt.Sprintf("t%d", i))
+				commitOn(b, m, id, ids[i%objects], addOp)
+				if err := m.Forget(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRegisterObjects reports what registering an atomic object costs
+// in time and in retained heap.
+func BenchmarkRegisterObjects(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewManager(nil)
+	b.ResetTimer()
+	registerSeats(b, m, b.N)
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(b.N), "B/object")
+	runtime.KeepAlive(m)
 }

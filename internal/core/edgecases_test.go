@@ -129,7 +129,7 @@ func TestAwakeChecksOnlyRelevantCommits(t *testing.T) {
 // TestHistoryPruning: committed history shrinks once no sleeper needs it.
 func TestHistoryPruning(t *testing.T) {
 	m, _, clk := testManager(t)
-	// Three commits with no sleepers: history prunes to the current time.
+	// Three commits with no sleepers: history prunes to the commit head.
 	for _, id := range []TxID{"a", "b", "c"} {
 		mustBegin(t, m, id)
 		mustInvoke(t, m, id, "X", addOp)

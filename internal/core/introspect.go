@@ -31,59 +31,54 @@ type TxOp struct {
 // ObjectInfo returns a snapshot of one object's scheduling state.
 func (m *Manager) ObjectInfo(id ObjectID) (ObjectInfo, error) {
 	defer m.mon.enter(m)()
-	o, ok := m.objs[id]
-	if !ok {
+	o := m.objs.get(id)
+	if o == nil {
 		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	info := ObjectInfo{
 		ID:        id,
-		Members:   make(map[string]sem.Value, len(o.permanent)),
+		Members:   make(map[string]sem.Value),
+		Pending:   []TxOp{},
+		Commiting: []TxOp{},
 		Committed: len(o.committed),
 	}
-	for member, v := range o.permanent {
-		if o.permKnown[member] {
-			info.Members[member] = v
+	for mb := o.members.Load(); mb != nil; mb = mb.next {
+		if mb.known {
+			info.Members[mb.name] = mb.perm
 		}
 	}
-	info.Pending = sortedTxOps(o.pending)
-	info.Commiting = sortedTxOps(o.committing)
+	for i := range o.holders {
+		h := &o.holders[i]
+		switch {
+		case h.flags&holdPending != 0:
+			info.Pending = append(info.Pending, TxOp{Tx: h.tx, Op: h.op})
+		case h.flags&holdCommitting != 0:
+			info.Commiting = append(info.Commiting, TxOp{Tx: h.tx, Op: h.op})
+		}
+		if h.flags&holdSleeping != 0 {
+			info.Sleeping = append(info.Sleeping, h.tx)
+		}
+	}
 	for _, w := range o.waiting {
 		info.Waiting = append(info.Waiting, TxOp{Tx: w.tx, Op: w.op})
+		if w.sleeping {
+			info.Sleeping = append(info.Sleeping, w.tx)
+		}
 	}
-	for tx := range o.sleeping {
-		info.Sleeping = append(info.Sleeping, tx)
-	}
+	sort.Slice(info.Pending, func(i, j int) bool { return info.Pending[i].Tx < info.Pending[j].Tx })
 	sort.Slice(info.Sleeping, func(i, j int) bool { return info.Sleeping[i] < info.Sleeping[j] })
 	info.CommitQ = append(info.CommitQ, o.commitQ...)
 	return info, nil
 }
 
-func sortedTxOps(m map[TxID]sem.Op) []TxOp {
-	out := make([]TxOp, 0, len(m))
-	for tx, op := range m {
-		out = append(out, TxOp{Tx: tx, Op: op})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tx < out[j].Tx })
-	return out
-}
-
 // Transactions returns a snapshot of every registered transaction, sorted
 // by id (operator/diagnostic surface; terminal transactions remain until
-// Forget).
+// Forget or until terminalRetention newer ones have finished).
 func (m *Manager) Transactions() []TxInfo {
 	defer m.mon.enter(m)()
 	out := make([]TxInfo, 0, len(m.txs))
 	for _, t := range m.txs {
-		objs := make([]ObjectID, 0, len(t.objects))
-		for id := range t.objects {
-			objs = append(objs, id)
-		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		out = append(out, TxInfo{
-			ID: t.id, State: t.state, Began: t.began, Finished: t.finished,
-			Sleeping: t.tsleep, Reason: t.reason, Err: t.lastErr,
-			Objects: objs, Priority: t.priority,
-		})
+		out = append(out, t.info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -15,38 +15,30 @@ func checkInvariants(t *testing.T, m *Manager, step int) {
 	t.Helper()
 	defer m.mon.enter(m)()
 
-	for objID, o := range m.objs {
+	for _, o := range m.objs.all {
+		objID := o.id
 		// I1: no two non-sleeping holders (pending ∪ committing) conflict.
-		type holder struct {
-			tx TxID
-			op sem.Op
-		}
-		var holders []holder
-		for tx, op := range o.pending {
-			if !o.sleeping[tx] {
-				holders = append(holders, holder{tx, op})
-			}
-		}
-		for tx, op := range o.committing {
-			holders = append(holders, holder{tx, op})
-		}
-		for i := 0; i < len(holders); i++ {
-			for j := i + 1; j < len(holders); j++ {
-				if holders[i].tx == holders[j].tx {
-					continue
-				}
-				if o.conflict(holders[i].op, holders[j].op, o.deps) {
+		for i := range o.holders {
+			for j := i + 1; j < len(o.holders); j++ {
+				a, b := &o.holders[i], &o.holders[j]
+				if a.blocks() && b.blocks() && o.conflict(a.op, b.op, o.deps) {
 					t.Fatalf("step %d: I1 violated on %s: %s(%s) and %s(%s) both hold",
-						step, objID, holders[i].tx, holders[i].op, holders[j].tx, holders[j].op)
+						step, objID, a.tx, a.op, b.tx, b.op)
 				}
 			}
 		}
 		// I2: at most one transaction in X_committing.
-		if len(o.committing) > 1 {
-			t.Fatalf("step %d: I2 violated on %s: %d committers", step, objID, len(o.committing))
+		committers := 0
+		for i := range o.holders {
+			if o.holders[i].flags&holdCommitting != 0 {
+				committers++
+			}
 		}
-		// I3: every waiter's transaction is Waiting or Sleeping, and every
-		// non-sleeping waiter is actually blocked (conflict or policy).
+		if committers > 1 {
+			t.Fatalf("step %d: I2 violated on %s: %d committers", step, objID, committers)
+		}
+		// I3: every waiter's transaction is Waiting or Sleeping, and a
+		// waiter is marked sleeping exactly when its transaction sleeps.
 		for _, w := range o.waiting {
 			wt := m.txs[w.tx]
 			if wt == nil {
@@ -55,42 +47,61 @@ func checkInvariants(t *testing.T, m *Manager, step int) {
 			if wt.state != StateWaiting && wt.state != StateSleeping {
 				t.Fatalf("step %d: I3: waiter %s in state %s", step, w.tx, wt.state)
 			}
-		}
-		// I4: virtual copies exist exactly for pending holders.
-		for tx := range o.temp {
-			if _, ok := o.pending[tx]; !ok {
-				t.Fatalf("step %d: I4: %s has A_temp on %s without pending", step, tx, objID)
+			if w.sleeping != (wt.state == StateSleeping) {
+				t.Fatalf("step %d: I3: waiter %s sleeping=%v in state %s", step, w.tx, w.sleeping, wt.state)
 			}
 		}
-		for tx := range o.pending {
-			if _, ok := o.temp[tx]; !ok {
-				t.Fatalf("step %d: I4: pending %s on %s without A_temp", step, tx, objID)
+		// I4: one holder per transaction, in exactly one of X_pending,
+		// X_committing or the released reads; X_sleeping ⊆ X_pending and
+		// mirrors the transaction state.
+		seen := make(map[TxID]bool)
+		for i := range o.holders {
+			h := &o.holders[i]
+			if seen[h.tx] {
+				t.Fatalf("step %d: I4: %s holds %s twice", step, h.tx, objID)
 			}
-		}
-		// I5: X_new exists exactly for committing transactions.
-		for tx := range o.neu {
-			if _, ok := o.committing[tx]; !ok {
-				t.Fatalf("step %d: I5: %s has X_new on %s without committing", step, tx, objID)
+			seen[h.tx] = true
+			switch h.flags &^ holdSleeping {
+			case holdPending, holdCommitting, holdReleased:
+			default:
+				t.Fatalf("step %d: I4: %s on %s has flags %04b", step, h.tx, objID, h.flags)
+			}
+			ht := m.txs[h.tx]
+			if ht == nil {
+				t.Fatalf("step %d: I4: holder %s on %s not registered", step, h.tx, objID)
+			}
+			if sleeping := h.flags&holdSleeping != 0; sleeping != (ht.state == StateSleeping) {
+				t.Fatalf("step %d: I4: holder %s on %s sleeping=%v in state %s", step, h.tx, objID, sleeping, ht.state)
+			}
+			if h.flags&holdReleased != 0 && h.op.Class != sem.Read {
+				t.Fatalf("step %d: I4: released holder %s on %s is %s, not a read", step, h.tx, objID, h.op)
+			}
+			// I5: a transaction's object list covers everything it holds.
+			if !containsObject(ht.objects, o) {
+				t.Fatalf("step %d: I5: %s holds %s but does not list it", step, h.tx, objID)
 			}
 		}
 	}
 
 	// I6: transaction state ↔ object membership coherence.
 	for id, tr := range m.txs {
+		for i, o := range tr.objects {
+			if containsObject(tr.objects[:i], o) {
+				t.Fatalf("step %d: I5: %s lists %s twice", step, id, o.id)
+			}
+		}
+		if tr.state.Terminal() != (tr.txLive == nil) {
+			t.Fatalf("step %d: I6: %s is %s with live state present=%v", step, id, tr.state, tr.txLive != nil)
+		}
 		switch tr.state {
 		case StateCommitted, StateAborted:
-			for objID, o := range m.objs {
-				if _, ok := o.pending[id]; ok {
-					t.Fatalf("step %d: I6: terminal %s still pending on %s", step, id, objID)
-				}
-				if _, ok := o.committing[id]; ok {
-					t.Fatalf("step %d: I6: terminal %s still committing on %s", step, id, objID)
+			for _, o := range m.objs.all {
+				objID := o.id
+				if o.holder(id) != nil {
+					t.Fatalf("step %d: I6: terminal %s still holds %s", step, id, objID)
 				}
 				if o.waiterFor(id) != nil {
 					t.Fatalf("step %d: I6: terminal %s still queued on %s", step, id, objID)
-				}
-				if o.sleeping[id] {
-					t.Fatalf("step %d: I6: terminal %s still sleeping on %s", step, id, objID)
 				}
 			}
 		case StateSleeping:
@@ -99,7 +110,7 @@ func checkInvariants(t *testing.T, m *Manager, step int) {
 			}
 		case StateWaiting:
 			found := false
-			for _, o := range m.objs {
+			for _, o := range tr.objects {
 				if o.waiterFor(id) != nil {
 					found = true
 				}
@@ -109,6 +120,15 @@ func checkInvariants(t *testing.T, m *Manager, step int) {
 			}
 		}
 	}
+}
+
+func containsObject(objs []*object, o *object) bool {
+	for _, x := range objs {
+		if x == o {
+			return true
+		}
+	}
+	return false
 }
 
 // TestInvariantRandomWalk drives the Manager through long random event
@@ -195,8 +215,9 @@ func TestInvariantRandomWalk(t *testing.T) {
 			checkInvariants(t, m, 9999)
 			// Post-drain: no object retains any per-transaction state.
 			defer m.mon.enter(m)()
-			for objID, o := range m.objs {
-				if len(o.pending)+len(o.committing)+len(o.waiting)+len(o.sleeping) != 0 {
+			for _, o := range m.objs.all {
+				objID := o.id
+				if len(o.holders)+len(o.waiting) != 0 {
 					t.Fatalf("object %s not empty after drain", objID)
 				}
 			}

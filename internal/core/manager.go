@@ -42,24 +42,76 @@ type Manager struct {
 
 	mvcc mvccState // the monitor-free snapshot read path (mvcc.go)
 
-	txs      map[TxID]*transaction
-	objs     map[ObjectID]*object
-	sleepers map[TxID]*transaction // index over txs: state == StateSleeping
+	txs  map[TxID]*transaction
+	objs objIndex
+
+	// terminal holds the retained terminal transactions in the order they
+	// finished; the registry keeps at most terminalRetention of them (see
+	// retireLocked). retained counts those still registered — a Forget
+	// leaves its queue entry behind to rotate out.
+	terminal fifo[*transaction]
+	retained int
+
+	// sleepQ lists sleepers in the order they went to sleep. A_tsleep's
+	// commit sequence is monotone along it, so the oldest live sleeper —
+	// the only one the GC horizon needs — is the first entry that is still
+	// current; stale entries (awakened, aborted, slept again) are dropped
+	// when they reach the front. sleeping counts the live ones.
+	sleepQ   fifo[sleepEntry]
+	sleeping int
+
+	// gcq is the horizon queue: one entry per committed per-object
+	// operation, in commit-sequence order (see pruneHistoriesLocked).
+	gcq fifo[gcEntry]
 
 	stats     Stats
-	history   []HistoryEntry
-	commitSeq uint64 // global commit sequence (see commitRecord.seq)
+	history   [][]HistoryEntry // chunks of historyChunk entries; only the last is short
+	commitSeq uint64           // global commit sequence (see commitRecord.seq)
+}
+
+// terminalRetention bounds the registry: the most recent terminalRetention
+// terminal transactions stay answerable (TxState, TxInfo, duplicate-id
+// detection); older ones are retired first-in first-out exactly as if the
+// caller had Forgotten them.
+const terminalRetention = 1 << 14
+
+// historyChunk is the WithHistory log's chunk size: the log grows by whole
+// chunks, so a long run never re-copies what it already recorded.
+const historyChunk = 1024
+
+// gcBatch bounds the horizon-queue entries one publish retires beyond twice
+// its own, so the backlog released by one long sleeper's wake-up is worked
+// off over the following commits rather than in one critical section.
+const gcBatch = 64
+
+// sleepEntry is one arrival in Manager.sleepQ: t's sleep that was the
+// manager's nth. It is current while that sleep lasts.
+type sleepEntry struct {
+	t   *transaction
+	nth uint64
+}
+
+func (e sleepEntry) current() bool {
+	return e.t.state == StateSleeping && e.t.sleepNth == e.nth
+}
+
+// gcEntry is one horizon-queue element: object o gained a committed-history
+// record at seq and, for an update, member mb's chain a version (mb is nil
+// for read-class operations).
+type gcEntry struct {
+	o   *object
+	mb  *member
+	seq uint64
 }
 
 // NewManager creates a GTM over the given store (which may be nil for a
 // purely virtual manager, e.g. in unit tests of the scheduling logic).
 func NewManager(store Store, opt ...Option) *Manager {
 	m := &Manager{
-		clk:      clock.Wall{},
-		store:    store,
-		txs:      make(map[TxID]*transaction),
-		objs:     make(map[ObjectID]*object),
-		sleepers: make(map[TxID]*transaction),
+		clk:   clock.Wall{},
+		store: store,
+		txs:   make(map[TxID]*transaction),
+		objs:  newObjIndex(),
 	}
 	m.stats.AbortsBy = make(map[AbortReason]uint64)
 	m.opts = defaultOptions()
@@ -80,7 +132,6 @@ func NewManager(store Store, opt ...Option) *Manager {
 		}
 		m.exec = newSSTExecutor(m.opts.sstWorkers, m.opts.sstQueueDepth, gauge)
 	}
-	m.mvcc.snaps = make(map[uint64]uint64)
 	if m.opts.epochMaxBatch > 0 {
 		m.epoch = newEpochBatcher(m, m.opts.epochMaxBatch, m.opts.epochWindow)
 	}
@@ -106,17 +157,21 @@ func (m *Manager) Close() {
 // distinct members as independent).
 func (m *Manager) RegisterObject(id ObjectID, refs map[string]StoreRef, deps *sem.Dependencies) error {
 	defer m.mon.enter(m)()
-	if _, ok := m.objs[id]; ok {
+	if m.objs.get(id) != nil {
 		return fmt.Errorf("%w: %s", ErrObjectExists, id)
 	}
-	m.objs[id] = newObject(id, refs, deps, m.opts.conflict)
-	// The snapshot read path resolves members without the monitor; give it
-	// an immutable copy of the ref map.
-	frozen := make(map[string]StoreRef, len(refs))
-	for member, ref := range refs {
-		frozen[member] = ref
+	o := &object{id: id, conflict: m.opts.conflict, deps: deps}
+	names := make([]string, 0, len(refs))
+	for name := range refs {
+		names = append(names, name)
 	}
-	m.mvcc.objRefs.Store(id, frozen)
+	sort.Strings(names)
+	var head *member
+	for i := len(names) - 1; i >= 0; i-- {
+		head = &member{name: names[i], ref: refs[names[i]], backed: true, next: head}
+	}
+	o.members.Store(head)
+	m.objs.put(o)
 	return nil
 }
 
@@ -129,9 +184,9 @@ func (m *Manager) RegisterAtomicObject(id ObjectID, ref StoreRef) error {
 // Objects returns the registered object ids in sorted order.
 func (m *Manager) Objects() []ObjectID {
 	defer m.mon.enter(m)()
-	out := make([]ObjectID, 0, len(m.objs))
-	for id := range m.objs {
-		out = append(out, id)
+	out := make([]ObjectID, len(m.objs.all))
+	for i, o := range m.objs.all {
+		out[i] = o.id
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -179,11 +234,11 @@ func (m *Manager) Invoke(txID TxID, objID ObjectID, op sem.Op) (granted bool, er
 	if !op.Class.Valid() {
 		return false, fmt.Errorf("%w: invalid class %d", ErrOpClass, op.Class)
 	}
-	if _, ok := o.pending[txID]; ok {
+	if h := o.holder(txID); h != nil {
+		if h.flags&holdCommitting != 0 {
+			return false, fmt.Errorf("%w: %s already committing on %s", ErrOneOpPerObj, txID, objID)
+		}
 		return false, fmt.Errorf("%w: %s on %s", ErrOneOpPerObj, txID, objID)
-	}
-	if _, ok := o.committing[txID]; ok {
-		return false, fmt.Errorf("%w: %s already committing on %s", ErrOneOpPerObj, txID, objID)
 	}
 	if o.waiterFor(txID) != nil {
 		return false, fmt.Errorf("%w: %s already queued on %s", ErrOneOpPerObj, txID, objID)
@@ -212,9 +267,8 @@ func (m *Manager) Invoke(txID TxID, objID ObjectID, op sem.Op) (granted bool, er
 		}
 		now := m.clk.Now()
 		m.setStateLocked(t, StateWaiting)
-		t.waitingOn = objID
 		t.twait = now
-		t.objects[objID] = true
+		t.objects = append(t.objects, o)
 		o.waiting = append(o.waiting, &waitEntry{tx: txID, op: op, since: now, priority: t.priority})
 		m.stats.Waits++
 		if m.obs != nil {
@@ -227,6 +281,7 @@ func (m *Manager) Invoke(txID TxID, objID ObjectID, op sem.Op) (granted bool, er
 	if err := m.grantLocked(t, o, op); err != nil {
 		return false, err
 	}
+	t.objects = append(t.objects, o)
 	return true, nil
 }
 
@@ -256,8 +311,7 @@ func (m *Manager) admissionBlockLocked(t *transaction, o *object, op sem.Op, sel
 		}
 	}
 	if m.opts.headroom != nil && op.Class.IsUpdate() {
-		member := op.Member
-		perm, err := m.loadPermanentLocked(o, member)
+		perm, err := m.loadPermanentLocked(o, o.ensureMember(op.Member))
 		if err == nil {
 			limit := m.opts.headroom(o.id, perm)
 			if limit >= 0 && o.compatibleUpdaters(t.id, op) >= limit {
@@ -268,16 +322,15 @@ func (m *Manager) admissionBlockLocked(t *transaction, o *object, op sem.Op, sel
 	return admitOK
 }
 
-// grantLocked admits the invocation: Algorithm 2's compatible-path postcondition.
+// grantLocked admits the invocation: Algorithm 2's compatible-path
+// postcondition. The caller records the object on the transaction (a fresh
+// invocation) or already has (a waiter being granted).
 func (m *Manager) grantLocked(t *transaction, o *object, op sem.Op) error {
-	perm, err := m.loadPermanentLocked(o, op.Member)
+	perm, err := m.loadPermanentLocked(o, o.ensureMember(op.Member))
 	if err != nil {
 		return err
 	}
-	o.pending[t.id] = op
-	o.read[t.id] = perm
-	o.temp[t.id] = perm
-	t.objects[o.id] = true
+	o.holders = append(o.holders, holder{tx: t.id, op: op, read: perm, temp: perm, flags: holdPending})
 	m.stats.Grants++
 	if m.obs != nil {
 		m.obs.admits.Inc()
@@ -287,20 +340,20 @@ func (m *Manager) grantLocked(t *transaction, o *object, op sem.Op) error {
 
 // loadPermanentLocked returns the X_permanent mirror for a member, loading it
 // from the store on first access.
-func (m *Manager) loadPermanentLocked(o *object, member string) (sem.Value, error) {
-	if o.permKnown[member] {
-		return o.permanent[member], nil
+func (m *Manager) loadPermanentLocked(o *object, mb *member) (sem.Value, error) {
+	if mb.known {
+		return mb.perm, nil
 	}
 	v := sem.Null()
-	if ref, ok := o.refs[member]; ok && m.store != nil {
-		loaded, err := m.store.Load(ref)
+	if mb.backed && m.store != nil {
+		loaded, err := m.store.Load(mb.ref)
 		if err != nil {
-			return sem.Null(), fmt.Errorf("core: loading %s of %s: %w", member, o.id, err)
+			return sem.Null(), fmt.Errorf("core: loading %s of %s: %w", mb.name, o.id, err)
 		}
 		v = loaded
 	}
-	o.permanent[member] = v
-	o.permKnown[member] = true
+	mb.perm = v
+	mb.known = true
 	return v, nil
 }
 
@@ -312,11 +365,12 @@ func (m *Manager) ReadValue(txID TxID, objID ObjectID) (sem.Value, error) {
 	if err != nil {
 		return sem.Value{}, err
 	}
-	if _, ok := o.pending[txID]; !ok {
+	h := o.pendingHolder(txID)
+	if h == nil {
 		return sem.Value{}, fmt.Errorf("%w: %s on %s", ErrNotInvoked, txID, objID)
 	}
 	t.lastActivity = m.clk.Now()
-	return o.temp[txID], nil
+	return h.temp, nil
 }
 
 // Apply performs one operation of the invoked class on the virtual copy:
@@ -333,14 +387,14 @@ func (m *Manager) Apply(txID TxID, objID ObjectID, operand sem.Value) error {
 	if t.state != StateActive {
 		return fmt.Errorf("%w: %s is %s", ErrBadState, txID, t.state)
 	}
-	op, ok := o.pending[txID]
-	if !ok {
+	h := o.pendingHolder(txID)
+	if h == nil {
 		return fmt.Errorf("%w: %s on %s", ErrNotInvoked, txID, objID)
 	}
 	t.lastActivity = m.clk.Now()
-	cur := o.temp[txID]
+	cur := h.temp
 	var next sem.Value
-	switch op.Class {
+	switch h.op.Class {
 	case sem.AddSub:
 		next, err = cur.Add(operand)
 	case sem.MulDiv:
@@ -350,12 +404,12 @@ func (m *Manager) Apply(txID TxID, objID ObjectID, operand sem.Value) error {
 	case sem.Read:
 		return fmt.Errorf("%w: read invocations cannot modify %s", ErrOpClass, objID)
 	default:
-		return fmt.Errorf("%w: %s", ErrOpClass, op.Class)
+		return fmt.Errorf("%w: %s", ErrOpClass, h.op.Class)
 	}
 	if err != nil {
 		return fmt.Errorf("core: apply on %s: %w", objID, err)
 	}
-	o.temp[txID] = next
+	h.temp = next
 	return nil
 }
 
@@ -394,22 +448,20 @@ func (m *Manager) requestCommitLocked(txID TxID, prepare bool) error {
 	// read-class local commit) instead of riding the slot pipeline until the
 	// global commit — a pure read must not block conflicting writers for the
 	// duration of someone else's SST.
-	var want []ObjectID
-	var reads []*object
-	for objID := range t.objects {
-		o := m.objs[objID]
-		op, ok := o.pending[txID]
-		if !ok {
+	var want, reads []*object
+	for _, o := range t.objects {
+		h := o.pendingHolder(txID)
+		if h == nil {
 			continue
 		}
-		if op.Class == sem.Read {
+		if h.op.Class == sem.Read {
 			reads = append(reads, o)
 			continue
 		}
-		want = append(want, objID)
+		want = append(want, o)
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	sort.Slice(reads, func(i, j int) bool { return reads[i].id < reads[j].id })
+	sortObjects(want)
+	sortObjects(reads)
 	t.commitWant = want
 	for _, o := range reads {
 		m.releaseReadSlotLocked(t, o)
@@ -421,15 +473,13 @@ func (m *Manager) requestCommitLocked(txID TxID, prepare bool) error {
 // releaseReadSlotLocked local-commits one read-class invocation without the
 // committer slot: the virtual value is captured for the publish phase, the
 // pending slot frees immediately (conflicting waiters become admissible),
-// and the op stays visible to awakening sleepers via releasedReads until
-// the transaction publishes or aborts.
+// and the op stays visible to awakening sleepers as a released holder
+// until the transaction publishes or aborts.
 func (m *Manager) releaseReadSlotLocked(t *transaction, o *object) {
-	op := o.pending[t.id]
-	t.readLocals = append(t.readLocals, localWrite{o: o, op: op, val: o.temp[t.id], read: o.read[t.id]})
-	o.releasedReads[t.id] = op
-	delete(o.pending, t.id)
-	delete(o.temp, t.id)
-	delete(o.read, t.id)
+	h := o.holder(t.id)
+	t.readLocals = append(t.readLocals, localWrite{o: o, op: h.op, val: h.temp, read: h.read})
+	h.flags = holdReleased
+	h.temp, h.read = sem.Value{}, sem.Value{}
 	m.dispatchLocked(o)
 }
 
@@ -442,9 +492,8 @@ func (m *Manager) advanceCommitLocked(t *transaction) {
 		return // staged already; only Decide moves it forward
 	}
 	for len(t.commitWant) > 0 {
-		objID := t.commitWant[0]
-		o := m.objs[objID]
-		if len(o.committing) > 0 {
+		o := t.commitWant[0]
+		if o.hasCommitter() {
 			// Another transaction holds the committer slot; queue behind it
 			// (Algorithm 3's one-committer precondition).
 			if !containsTx(o.commitQ, t.id) {
@@ -457,7 +506,7 @@ func (m *Manager) advanceCommitLocked(t *transaction) {
 			return
 		}
 		t.commitWant = t.commitWant[1:]
-		t.commitHeld[objID] = true
+		t.commitHeld = append(t.commitHeld, o)
 		// The object lost a pending holder; waiters may now be admissible.
 		m.dispatchLocked(o)
 	}
@@ -472,30 +521,28 @@ func (m *Manager) advanceCommitLocked(t *transaction) {
 // A_temp^X, X_permanent) and move the transaction from X_pending to
 // X_committing.
 func (m *Manager) localCommitLocked(t *transaction, o *object) error {
-	op := o.pending[t.id]
-	rec, err := sem.ReconcilerFor(op.Class)
+	h := o.holder(t.id)
+	rec, err := sem.ReconcilerFor(h.op.Class)
 	if err != nil {
 		return err
 	}
-	perm, err := m.loadPermanentLocked(o, op.Member)
+	perm, err := m.loadPermanentLocked(o, o.ensureMember(h.op.Member))
 	if err != nil {
 		return err
 	}
-	neu, err := rec.Reconcile(o.read[t.id], o.temp[t.id], perm)
+	neu, err := rec.Reconcile(h.read, h.temp, perm)
 	if err != nil {
 		return err
 	}
-	if !neu.Equal(o.temp[t.id]) {
+	if !neu.Equal(h.temp) {
 		m.stats.Reconciled++
 		if m.obs != nil {
 			m.obs.reconciled.Inc()
 		}
 	}
-	o.neu[t.id] = neu
-	o.committing[t.id] = op
-	delete(o.pending, t.id)
-	delete(o.temp, t.id)
 	// X_read is retained until the global commit for the history record.
+	h.neu, h.temp = neu, sem.Value{}
+	h.flags = holdCommitting
 	return nil
 }
 
@@ -503,6 +550,7 @@ func (m *Manager) localCommitLocked(t *transaction, o *object) error {
 // phase to the publish phase.
 type localWrite struct {
 	o    *object
+	mb   *member // the member an update writes; nil for read-class ops
 	op   sem.Op
 	val  sem.Value
 	read sem.Value
@@ -533,17 +581,19 @@ func (m *Manager) collectCommitLocked(t *transaction) ([]localWrite, []SSTWrite)
 	var locals []localWrite
 	var writes []SSTWrite
 	locals = append(locals, t.readLocals...)
-	for objID := range t.commitHeld {
-		o := m.objs[objID]
-		op := o.committing[t.id]
-		lw := localWrite{o: o, op: op, val: o.neu[t.id], read: o.read[t.id]}
-		if ref, ok := o.refs[op.Member]; ok && op.Class.IsUpdate() {
-			writes = append(writes, SSTWrite{Ref: ref, Value: lw.val})
+	for _, o := range t.commitHeld {
+		h := o.holder(t.id)
+		lw := localWrite{o: o, op: h.op, val: h.neu, read: h.read}
+		if h.op.Class.IsUpdate() {
+			lw.mb = o.ensureMember(h.op.Member)
+			if lw.mb.backed {
+				writes = append(writes, SSTWrite{Ref: lw.mb.ref, Value: lw.val})
+			}
 		}
 		locals = append(locals, lw)
 	}
-	// commitHeld is a map: without sorting, concurrent SSTs would acquire
-	// LDBS row locks in random per-transaction orders and could deadlock
+	// Object order is not StoreRef order: without sorting, concurrent SSTs
+	// would acquire LDBS row locks in differing orders and could deadlock
 	// each other. Canonical StoreRef order makes SST↔SST deadlocks
 	// structurally impossible (and the history deterministic).
 	SortSSTWrites(writes)
@@ -642,38 +692,71 @@ func (m *Manager) publishLocked(t *transaction, locals []localWrite) {
 	m.commitSeq++
 	for _, lw := range locals {
 		o := lw.o
-		if lw.op.Class.IsUpdate() {
-			m.pushVersionLocked(o, lw.op.Member, o.permanent[lw.op.Member], lw.val, m.commitSeq)
-			o.permanent[lw.op.Member] = lw.val
-			o.permKnown[lw.op.Member] = true
+		if lw.mb != nil {
+			m.pushVersionLocked(lw.mb, lw.val, m.commitSeq)
+			lw.mb.perm = lw.val
+			lw.mb.known = true
 		}
-		o.committed = append(o.committed, commitRecord{tx: t.id, op: lw.op, tc: now, seq: m.commitSeq})
+		o.committed = append(o.committed, commitRecord{tx: t.id, op: lw.op, seq: m.commitSeq})
+		if !m.opts.keepFullHistory {
+			m.gcq.push(gcEntry{o: o, mb: lw.mb, seq: m.commitSeq})
+		}
 		if m.opts.recordHistory {
-			m.history = append(m.history, HistoryEntry{
+			m.recordHistoryLocked(HistoryEntry{
 				Tx: t.id, Object: o.id, Op: lw.op, Read: lw.read, New: lw.val, TC: now,
 			})
 		}
-		delete(o.committing, t.id)
-		delete(o.neu, t.id)
-		delete(o.read, t.id)
-		delete(o.releasedReads, t.id)
+		o.removeHolder(t.id)
 	}
 	// Version pushes above happen-before the sequence becomes pinnable:
 	// a snapshot opened at N sees every chain node of every commit ≤ N.
 	m.mvcc.seq.Store(m.commitSeq)
 	m.setStateLocked(t, StateCommitted)
 	t.finished = now
-	t.twait = time.Time{}
-	t.tsleep = time.Time{}
 	m.stats.Committed++
 	if m.obs != nil {
 		m.obs.commits.Inc()
 		sinceIfSet(m.obs.commitLatency, t.commitStart, now)
 	}
 	m.notifyTxLocked(t, Event{Type: EvCommitted, Tx: t.id})
-	m.pruneHistoriesLocked()
+	m.retireLocked(t)
+	m.pruneHistoriesLocked(gcBatch + 2*len(locals))
 	for _, lw := range locals {
 		m.dispatchLocked(lw.o)
+	}
+}
+
+// recordHistoryLocked appends to the WithHistory log, opening a new chunk
+// when the last one is full.
+func (m *Manager) recordHistoryLocked(e HistoryEntry) {
+	last := len(m.history) - 1
+	if last < 0 || len(m.history[last]) == historyChunk {
+		m.history = append(m.history, nil)
+		last++
+	}
+	m.history[last] = append(m.history[last], e)
+}
+
+// retireLocked is the terminal transition's bookkeeping: the record is
+// stripped to what TxState/TxInfo answer from, joins the retention queue,
+// and the oldest retained transactions beyond terminalRetention leave the
+// registry.
+func (m *Manager) retireLocked(t *transaction) {
+	t.txLive = nil
+	m.terminal.push(t)
+	m.retained++
+	for m.terminal.len() > terminalRetention {
+		old := m.terminal.front()
+		m.terminal.pop()
+		// A Forgotten transaction's entry is stale, and its id may since
+		// have been reused: only the record still registered is retired.
+		if m.txs[old.id] == old {
+			delete(m.txs, old.id)
+			m.retained--
+		}
+	}
+	if m.obs != nil {
+		m.obs.terminalRetained.Store(int64(m.retained))
 	}
 }
 
@@ -706,11 +789,9 @@ func (m *Manager) Abort(txID TxID) error {
 // Algorithm 6's postcondition. Objects are re-dispatched because the abort
 // may free holders or committer slots.
 func (m *Manager) finishAbortLocked(t *transaction, reason AbortReason, cause error) {
-	var touched []*object
-	for objID := range t.objects {
-		o := m.objs[objID]
+	sortObjects(t.objects)
+	for _, o := range t.objects {
 		o.dropTx(t.id)
-		touched = append(touched, o)
 	}
 	if t.state != StateAborting {
 		m.setStateLocked(t, StateAborting)
@@ -719,15 +800,6 @@ func (m *Manager) finishAbortLocked(t *transaction, reason AbortReason, cause er
 	t.finished = m.clk.Now()
 	t.reason = reason
 	t.lastErr = cause
-	t.twait = time.Time{}
-	t.tsleep = time.Time{}
-	t.waitingOn = ""
-	t.commitWant = nil
-	t.readLocals = nil
-	t.preparing = false
-	t.prepared = false
-	t.stagedLocals = nil
-	t.stagedWrites = nil
 	m.stats.Aborted++
 	m.stats.AbortsBy[reason]++
 	if m.obs != nil {
@@ -735,8 +807,8 @@ func (m *Manager) finishAbortLocked(t *transaction, reason AbortReason, cause er
 		m.traceLocked("abort", t, "", 0, 0, reason.String())
 	}
 	m.notifyTxLocked(t, Event{Type: EvAborted, Tx: t.id, Reason: reason, Err: cause})
-	sort.Slice(touched, func(i, j int) bool { return touched[i].id < touched[j].id })
-	for _, o := range touched {
+	m.retireLocked(t)
+	for _, o := range t.objects {
 		m.dispatchLocked(o)
 	}
 }
@@ -763,19 +835,23 @@ func (m *Manager) sleepLocked(t *transaction) error {
 	m.setStateLocked(t, StateSleeping)
 	t.tsleep = m.clk.Now()
 	t.sleepSeq = m.commitSeq
+	if m.sleepQ.len() > 2*m.sleeping+lazySweepSlack {
+		// A long sleeper holds the front while shorter sleeps come and go
+		// behind it: sweep the stale entries before they pile up.
+		m.sleepQ.filter(sleepEntry.current)
+	}
 	m.stats.Sleeps++
+	t.sleepNth = m.stats.Sleeps
+	m.sleepQ.push(sleepEntry{t: t, nth: t.sleepNth})
 	if m.obs != nil {
 		m.obs.sleeps.Inc()
 	}
-	var touched []*object
-	for objID := range t.objects {
-		o := m.objs[objID]
-		o.sleeping[t.id] = true
-		touched = append(touched, o)
+	sortObjects(t.objects)
+	for _, o := range t.objects {
+		o.setSleeping(t.id, true)
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i].id < touched[j].id })
 	// A sleeping holder no longer blocks admissions: re-dispatch.
-	for _, o := range touched {
+	for _, o := range t.objects {
 		m.dispatchLocked(o)
 	}
 	return nil
@@ -822,11 +898,10 @@ func (m *Manager) Awake(txID TxID) (resumed bool, err error) {
 	}
 
 	// Phase 1: the per-object conflict checks of Algorithm 9.
-	for objID := range t.objects {
-		o := m.objs[objID]
+	for _, o := range t.objects {
 		var op sem.Op
-		if p, ok := o.pending[txID]; ok {
-			op = p
+		if h := o.pendingHolder(txID); h != nil {
+			op = h.op
 		} else if w := o.waiterFor(txID); w != nil {
 			op = w.op
 		} else {
@@ -847,9 +922,8 @@ func (m *Manager) Awake(txID TxID) (resumed bool, err error) {
 	// reads of X_permanent; held invocations keep their virtual copies
 	// (only compatible operations can have committed meanwhile, and the
 	// commit-time reconciliation absorbs those).
-	for objID := range t.objects {
-		o := m.objs[objID]
-		delete(o.sleeping, txID)
+	for _, o := range t.objects {
+		o.setSleeping(txID, false)
 		if w := o.removeWaiter(txID); w != nil {
 			if err := m.grantLocked(t, o, w.op); err != nil {
 				// No SST ran: the permanent value failed to load while
@@ -863,15 +937,14 @@ func (m *Manager) Awake(txID TxID) (resumed bool, err error) {
 	m.setStateLocked(t, StateActive)
 	t.tsleep = time.Time{}
 	t.twait = time.Time{}
-	t.waitingOn = ""
 	t.lastActivity = m.clk.Now()
 	m.stats.Awakes++
 	if m.obs != nil {
 		m.obs.awakesResumed.Inc()
 	}
 	// Admissions this sleeper was indirectly blocking may now proceed.
-	for objID := range t.objects {
-		m.dispatchLocked(m.objs[objID])
+	for _, o := range t.objects {
+		m.dispatchLocked(o)
 	}
 	return true, nil
 }
@@ -884,9 +957,11 @@ func (m *Manager) Awake(txID TxID) (resumed bool, err error) {
 // priority-then-arrival order.
 func (m *Manager) dispatchLocked(o *object) {
 	// Committer slot first: commit progress beats new admissions.
-	for len(o.committing) == 0 && len(o.commitQ) > 0 {
+	for len(o.commitQ) > 0 && !o.hasCommitter() {
 		next := o.commitQ[0]
-		o.commitQ = o.commitQ[1:]
+		if o.commitQ = o.commitQ[1:]; len(o.commitQ) == 0 {
+			o.commitQ = nil
+		}
 		t := m.txs[next]
 		if t == nil || t.state != StateCommitting {
 			continue
@@ -895,6 +970,9 @@ func (m *Manager) dispatchLocked(o *object) {
 	}
 
 	// Admission pass over the waiting queue.
+	if len(o.waiting) == 0 {
+		return
+	}
 	ordered := make([]*waitEntry, len(o.waiting))
 	copy(ordered, o.waiting)
 	if m.opts.usePriorities {
@@ -907,7 +985,7 @@ func (m *Manager) dispatchLocked(o *object) {
 	}
 	for _, w := range ordered {
 		t := m.txs[w.tx]
-		if t == nil || t.state != StateWaiting || o.sleeping[w.tx] {
+		if t == nil || t.state != StateWaiting || w.sleeping {
 			continue // sleeping waiters stay queued (X_waiting − X_sleeping)
 		}
 		if m.admissionBlockLocked(t, o, w.op, w) != admitOK {
@@ -923,7 +1001,6 @@ func (m *Manager) dispatchLocked(o *object) {
 			continue
 		}
 		m.setStateLocked(t, StateActive)
-		t.waitingOn = ""
 		t.twait = time.Time{}
 		if m.obs != nil {
 			sinceIfSet(m.obs.invokeWait, w.since, m.clk.Now())
@@ -966,17 +1043,20 @@ func (m *Manager) wouldDeadlockLocked(txID TxID, blockers []TxID) bool {
 // holders that block them, queued committers at the committer-slot holder.
 func (m *Manager) waitEdgesLocked() map[TxID][]TxID {
 	edges := make(map[TxID][]TxID)
-	for _, o := range m.objs {
+	for _, o := range m.objs.all {
 		for _, w := range o.waiting {
-			if o.sleeping[w.tx] {
+			if w.sleeping {
 				continue
 			}
 			edges[w.tx] = append(edges[w.tx], o.conflictingHolders(w.tx, w.op)...)
 		}
-		if len(o.committing) > 0 {
-			for holder := range o.committing {
+		if len(o.commitQ) == 0 {
+			continue
+		}
+		for i := range o.holders {
+			if h := &o.holders[i]; h.flags&holdCommitting != 0 {
 				for _, q := range o.commitQ {
-					edges[q] = append(edges[q], holder)
+					edges[q] = append(edges[q], h.tx)
 				}
 			}
 		}
@@ -990,8 +1070,8 @@ func (m *Manager) lookupLocked(txID TxID, objID ObjectID) (*transaction, *object
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownTx, txID)
 	}
-	o, ok := m.objs[objID]
-	if !ok {
+	o := m.objs.get(objID)
+	if o == nil {
 		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownObject, objID)
 	}
 	return t, o, nil
@@ -1007,10 +1087,10 @@ func (m *Manager) setStateLocked(t *transaction, to State) {
 	if t.state != to {
 		m.traceLocked("state", t, "", t.state, to, "")
 	}
-	if to == StateSleeping {
-		m.sleepers[t.id] = t
-	} else if t.state == StateSleeping {
-		delete(m.sleepers, t.id)
+	if to == StateSleeping && t.state != StateSleeping {
+		m.sleeping++
+	} else if to != StateSleeping && t.state == StateSleeping {
+		m.sleeping--
 	}
 	t.state = to
 }
@@ -1024,30 +1104,49 @@ func (m *Manager) notifyTxLocked(t *transaction, ev Event) {
 	m.mon.queue(func() { fn(ev) })
 }
 
-// pruneHistoriesLocked trims per-object committed histories to what awakening
-// sleepers can still need: entries at or after the earliest live A_tsleep.
-func (m *Manager) pruneHistoriesLocked() {
+// pruneHistoriesLocked retires horizon-queue entries that have come due, at
+// most budget of them. The GC horizon is the minimum of the commit head,
+// the oldest sleeper's A_tsleep sequence and the oldest open snapshot's
+// pin; it never moves backwards (a new sleeper or snapshot pins the current
+// head). An entry at or below it marks a committed-history record no awake
+// check can still ask about (sleepConflict admits only records after
+// A_tsleep) and a version no snapshot can still read past, so the object's
+// history prefix is trimmed and the member's chain truncated — work
+// proportional to what this commit and its predecessors published, never to
+// the number of registered objects.
+func (m *Manager) pruneHistoriesLocked(budget int) {
 	if m.opts.keepFullHistory {
 		return
 	}
-	// Only sleepers pin the horizon, and they are indexed — scanning all of
-	// m.txs here made every commit O(live+terminal) under the monitor, which
-	// dominated server CPU once a few thousand terminal transactions had
-	// accumulated between sweeps.
-	horizon := m.clk.Now()
-	seqHorizon := m.commitSeq
-	for _, t := range m.sleepers {
-		if t.tsleep.Before(horizon) {
-			horizon = t.tsleep
+	horizon := min(m.commitSeq, m.oldestSleepSeqLocked(), m.oldestSnapshotPinLocked())
+	for ; budget > 0 && m.gcq.len() > 0; budget-- {
+		e := m.gcq.front()
+		if e.seq > horizon {
+			break
 		}
-		if t.sleepSeq < seqHorizon {
-			seqHorizon = t.sleepSeq
+		e.o.pruneCommitted(horizon)
+		if e.mb != nil {
+			m.gcVersionsLocked(e.mb, horizon)
 		}
+		m.gcq.pop()
 	}
-	for _, o := range m.objs {
-		o.pruneCommitted(horizon)
+	if m.obs != nil {
+		m.obs.mvccHorizonLag.Store(int64(m.commitSeq - horizon))
+		m.obs.gcQueueDepth.Store(int64(m.gcq.len()))
 	}
-	m.gcVersionsLocked(seqHorizon)
+}
+
+// oldestSleepSeqLocked returns the A_tsleep commit sequence of the oldest
+// live sleeper — the first current entry of the arrival queue — or noPin
+// when nobody sleeps.
+func (m *Manager) oldestSleepSeqLocked() uint64 {
+	for m.sleepQ.len() > 0 {
+		if e := m.sleepQ.front(); e.current() {
+			return e.t.sleepSeq
+		}
+		m.sleepQ.pop()
+	}
+	return noPin
 }
 
 // TxState returns the current state of a transaction.
@@ -1067,26 +1166,17 @@ func (m *Manager) TxInfo(txID TxID) (TxInfo, error) {
 	if !ok {
 		return TxInfo{}, fmt.Errorf("%w: %s", ErrUnknownTx, txID)
 	}
-	objs := make([]ObjectID, 0, len(t.objects))
-	for id := range t.objects {
-		objs = append(objs, id)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	return TxInfo{
-		ID: t.id, State: t.state, Began: t.began, Finished: t.finished,
-		Sleeping: t.tsleep, Reason: t.reason, Err: t.lastErr,
-		Objects: objs, Priority: t.priority,
-	}, nil
+	return t.info(), nil
 }
 
 // Permanent returns the GTM's X_permanent mirror of a member.
 func (m *Manager) Permanent(objID ObjectID, member string) (sem.Value, error) {
 	defer m.mon.enter(m)()
-	o, ok := m.objs[objID]
-	if !ok {
+	o := m.objs.get(objID)
+	if o == nil {
 		return sem.Value{}, fmt.Errorf("%w: %s", ErrUnknownObject, objID)
 	}
-	return m.loadPermanentLocked(o, member)
+	return m.loadPermanentLocked(o, o.ensureMember(member))
 }
 
 // Stats returns a copy of the manager's counters.
@@ -1104,14 +1194,21 @@ func (m *Manager) Stats() Stats {
 // manager was created WithHistory).
 func (m *Manager) History() []HistoryEntry {
 	defer m.mon.enter(m)()
-	out := make([]HistoryEntry, len(m.history))
-	copy(out, m.history)
+	var out []HistoryEntry
+	if n := len(m.history); n > 0 {
+		out = make([]HistoryEntry, 0, (n-1)*historyChunk+len(m.history[n-1]))
+	}
+	for _, chunk := range m.history {
+		out = append(out, chunk...)
+	}
 	return out
 }
 
 // Forget removes a terminal transaction from the registry so its id can be
-// reused and memory reclaimed. Long-running deployments call this after
-// consuming the final notification.
+// reused and memory reclaimed at once. It is optional: the registry retires
+// terminal transactions on its own once more than terminalRetention (16 384)
+// newer ones have finished, after which their ids answer ErrUnknownTx just
+// as after Forget.
 func (m *Manager) Forget(txID TxID) error {
 	defer m.mon.enter(m)()
 	t, ok := m.txs[txID]
@@ -1122,6 +1219,10 @@ func (m *Manager) Forget(txID TxID) error {
 		return fmt.Errorf("%w: %s is %s, only terminal transactions can be forgotten", ErrBadState, txID, t.state)
 	}
 	delete(m.txs, txID)
+	m.retained--
+	if m.obs != nil {
+		m.obs.terminalRetained.Store(int64(m.retained))
+	}
 	return nil
 }
 
@@ -1135,23 +1236,7 @@ func containsTx(s []TxID, id TxID) bool {
 	return false
 }
 
-// holderless reports whether the object currently has no non-sleeping
-// holder whose op shares op's dependency group — used by the starvation
-// extension, which only defers compatible *joins* (the first holder is
-// always admitted).
-func (o *object) holderless(op sem.Op, tx TxID) bool {
-	for b, bop := range o.pending {
-		if b == tx || o.sleeping[b] {
-			continue
-		}
-		if o.deps.Dependent(bop.Member, op.Member) {
-			return false
-		}
-	}
-	for b, bop := range o.committing {
-		if b != tx && o.deps.Dependent(bop.Member, op.Member) {
-			return false
-		}
-	}
-	return true
+// sortObjects puts objects in canonical (id) order.
+func sortObjects(objs []*object) {
+	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
 }

@@ -18,10 +18,12 @@ import (
 // transactions stop occupying object slots (and stop serializing behind
 // other transactions' SSTs) entirely.
 //
-// Version GC shares the horizon discipline of the committed-history pruning:
-// versions older than the newest one visible to the oldest live snapshot
-// (or sleeping transaction, via A_tsleep's commit sequence) are unlinked at
-// publish time.
+// Version GC shares the horizon queue of the committed-history pruning
+// (pruneHistoriesLocked): every publish queues the chains it pushed onto,
+// and a chain is truncated when its entry falls to or below the GC horizon
+// — versions older than the newest one visible to the oldest live snapshot
+// (or sleeping transaction, via A_tsleep's commit sequence) are unlinked.
+// No publish ever walks the chains it did not touch.
 
 // versionNode is one committed value of an object member. Nodes are
 // immutable after publication; prev links to the next-older version and is
@@ -67,39 +69,61 @@ func (c *chain) truncate(horizon uint64) uint64 {
 	return dropped
 }
 
-// chainKey addresses one member's version chain.
-type chainKey struct {
-	obj    ObjectID
-	member string
-}
-
-// mvccState is the Manager's lock-free snapshot machinery. chains and
-// objRefs are sync.Maps so the read path never touches the monitor; seq is
-// the atomic shadow of Manager.commitSeq, stored only after every chain
-// push of a publish has landed; sstActive counts Secure System Transactions
-// between store write and publication — the window in which a store load is
-// not committed-stable.
+// mvccState is the Manager's lock-free snapshot machinery (the read path
+// resolves objects through Manager.objs and members through the object's
+// member list, both safe to walk without the monitor). seq is the atomic
+// shadow of Manager.commitSeq, stored only after every chain push of a
+// publish has landed; sstActive counts Secure System Transactions between
+// store write and publication — the window in which a store load is not
+// committed-stable.
 type mvccState struct {
-	chains  sync.Map // chainKey → *chain
-	objRefs sync.Map // ObjectID → map[string]StoreRef (immutable after registration)
-
 	seq       atomic.Uint64
 	sstActive atomic.Int64
 
-	snapMu   sync.Mutex
-	snaps    map[uint64]uint64 // snapshot id → pinned seq
-	nextSnap uint64
+	// Open snapshots in arrival order. Pins are taken from seq under
+	// snapMu, so they are monotone along the queue and the oldest open
+	// snapshot is the front one; Close only marks, and closed snapshots are
+	// dropped when they reach the front (or, should a long-lived snapshot
+	// hold the front, by a sweep once they outnumber the open ones).
+	snapMu sync.Mutex
+	snapQ  fifo[*Snapshot]
+	open   int
 }
 
-// chainFor returns (installing if needed) the version chain for a member.
-//lint:ignore gtmlint/monitorsafe chainFor is a lock-free sync.Map lookup, safe both under the monitor (publish, slow reads) and outside it (snapshot fast path); a Locked suffix would falsely forbid the unheld callers
-func (m *Manager) chainFor(key chainKey) *chain {
-	if c, ok := m.mvcc.chains.Load(key); ok {
-		return c.(*chain)
+// trimSnapshots drops closed snapshots from the front of the queue, and
+// sweeps the whole queue when closed entries dominate it. Caller holds
+// snapMu (not the monitor — in this package the Locked suffix is reserved
+// for monitor-held code).
+func (mv *mvccState) trimSnapshots() {
+	for mv.snapQ.len() > 0 && mv.snapQ.front().closed.Load() {
+		mv.snapQ.pop()
 	}
-	c, _ := m.mvcc.chains.LoadOrStore(key, &chain{})
-	return c.(*chain)
+	if mv.snapQ.len() > 2*mv.open+lazySweepSlack {
+		mv.snapQ.filter(func(s *Snapshot) bool { return !s.closed.Load() })
+	}
 }
+
+// lazySweepSlack is how many stale entries a lazily-trimmed arrival list
+// (open snapshots, sleepers) tolerates beyond twice its live population
+// before it is swept, which keeps the sweeps amortised O(1) per arrival.
+const lazySweepSlack = 64
+
+// oldestSnapshotPinLocked returns the pin of the oldest open snapshot —
+// the front of the arrival queue — or noPin when none is open.
+func (m *Manager) oldestSnapshotPinLocked() uint64 {
+	//gtmlint:lockorder core.monitor.mu -> core.mvccState.snapMu
+	//lint:ignore gtmlint/monitorsafe snapMu is a leaf lock: its holders never enter the monitor or block, so taking it under the monitor cannot deadlock
+	m.mvcc.snapMu.Lock()
+	defer m.mvcc.snapMu.Unlock()
+	m.mvcc.trimSnapshots()
+	if m.mvcc.snapQ.len() == 0 {
+		return noPin
+	}
+	return m.mvcc.snapQ.front().pin
+}
+
+// noPin is the horizon contribution of an empty pin list.
+const noPin = ^uint64(0)
 
 // pushVersionLocked appends a committed version during publish. Caller
 // holds the monitor; the commit's sequence number is already assigned but
@@ -107,12 +131,12 @@ func (m *Manager) chainFor(key chainKey) *chain {
 // every member's push is visible. On a chain's first push the prior
 // permanent value is installed as the base (sequence 0), preserving it for
 // snapshots pinned before this commit.
-func (m *Manager) pushVersionLocked(o *object, member string, old, val sem.Value, seq uint64) {
-	ch := m.chainFor(chainKey{obj: o.id, member: member})
+func (m *Manager) pushVersionLocked(mb *member, val sem.Value, seq uint64) {
+	ch := &mb.ch
 	if ch.head.Load() == nil {
 		// A concurrent miss-path reader may install the base first; both
 		// write the same committed value, so losing the race is fine.
-		ch.head.CompareAndSwap(nil, &versionNode{val: old})
+		ch.head.CompareAndSwap(nil, &versionNode{val: mb.perm})
 	}
 	n := &versionNode{val: val, seq: seq}
 	n.prev.Store(ch.head.Load())
@@ -122,30 +146,11 @@ func (m *Manager) pushVersionLocked(o *object, member string, old, val sem.Value
 	}
 }
 
-// gcVersionsLocked prunes version chains to the GC horizon: the minimum
-// over every live snapshot pin, every sleeper's sleep-time sequence, and
-// the current commit sequence. Called from pruneHistoriesLocked, i.e. once
-// per publish.
-func (m *Manager) gcVersionsLocked(horizon uint64) {
-	//gtmlint:lockorder core.monitor.mu -> core.mvccState.snapMu
-	//lint:ignore gtmlint/monitorsafe snapMu is a leaf lock: its holders never enter the monitor or block, so taking it under the monitor cannot deadlock
-	m.mvcc.snapMu.Lock()
-	for _, pin := range m.mvcc.snaps {
-		if pin < horizon {
-			horizon = pin
-		}
-	}
-	m.mvcc.snapMu.Unlock()
-	var dropped uint64
-	m.mvcc.chains.Range(func(_, v any) bool {
-		dropped += v.(*chain).truncate(horizon)
-		return true
-	})
-	if m.obs != nil {
-		if dropped > 0 {
-			m.obs.mvccGCed.Add(dropped)
-		}
-		m.obs.mvccHorizonLag.Store(int64(m.commitSeq - horizon))
+// gcVersionsLocked truncates one member's chain to the GC horizon — the
+// version-GC half of a horizon-queue entry coming due.
+func (m *Manager) gcVersionsLocked(mb *member, horizon uint64) {
+	if dropped := mb.ch.truncate(horizon); dropped > 0 && m.obs != nil {
+		m.obs.mvccGCed.Add(dropped)
 	}
 }
 
@@ -155,29 +160,26 @@ func (m *Manager) gcVersionsLocked(horizon uint64) {
 // pins version GC, so Close it when done.
 type Snapshot struct {
 	m      *Manager
-	id     uint64
 	pin    uint64
 	closed atomic.Bool
 }
 
 // BeginSnapshot opens a read-only snapshot at the current commit sequence.
-// The registration and the pin are taken under snapMu so GC (which also
-// takes snapMu) can never prune versions out from under a just-opened
-// snapshot.
+// The registration and the pin are taken under snapMu so GC (which reads the
+// oldest pin under snapMu) can never prune versions out from under a
+// just-opened snapshot.
 func (m *Manager) BeginSnapshot() *Snapshot {
+	s := &Snapshot{m: m}
 	m.mvcc.snapMu.Lock()
-	m.mvcc.nextSnap++
-	id := m.mvcc.nextSnap
-	pin := m.mvcc.seq.Load()
-	if m.mvcc.snaps == nil {
-		m.mvcc.snaps = make(map[uint64]uint64)
-	}
-	m.mvcc.snaps[id] = pin
+	s.pin = m.mvcc.seq.Load()
+	m.mvcc.trimSnapshots()
+	m.mvcc.snapQ.push(s)
+	m.mvcc.open++
 	m.mvcc.snapMu.Unlock()
 	if m.obs != nil {
 		m.obs.mvccOpened.Inc()
 	}
-	return &Snapshot{m: m, id: id, pin: pin}
+	return s
 }
 
 // Seq returns the pinned commit sequence.
@@ -193,7 +195,8 @@ func (s *Snapshot) Close() {
 	}
 	m := s.m
 	m.mvcc.snapMu.Lock()
-	delete(m.mvcc.snaps, s.id)
+	m.mvcc.open--
+	m.mvcc.trimSnapshots()
 	m.mvcc.snapMu.Unlock()
 	if m.obs != nil {
 		m.obs.mvccClosed.Inc()
@@ -214,15 +217,20 @@ func (s *Snapshot) Read(objID ObjectID, member string) (sem.Value, error) {
 		return sem.Value{}, fmt.Errorf("%w: snapshot is closed", ErrBadState)
 	}
 	m := s.m
-	refsAny, ok := m.mvcc.objRefs.Load(objID)
-	if !ok {
+	o := m.objs.get(objID)
+	if o == nil {
 		return sem.Value{}, fmt.Errorf("%w: %s", ErrUnknownObject, objID)
 	}
-	refs := refsAny.(map[string]StoreRef)
 	if m.obs != nil {
 		m.obs.mvccReads.Inc()
 	}
-	ch := m.chainFor(chainKey{obj: objID, member: member})
+	mb := o.member(member)
+	if mb == nil {
+		// Never registered and never touched: only the monitor may link a
+		// new member.
+		return s.fallbackSlow(objID, member)
+	}
+	ch := &mb.ch
 	for spin := 0; spin < snapshotSpins; spin++ {
 		if ch.head.Load() != nil {
 			n := ch.at(s.pin)
@@ -242,8 +250,8 @@ func (s *Snapshot) Read(objID ObjectID, member string) (sem.Value, error) {
 		a1 := m.mvcc.sstActive.Load()
 		s1 := m.mvcc.seq.Load()
 		v := sem.Null()
-		if ref, ok := refs[member]; ok && m.store != nil {
-			loaded, err := m.store.Load(ref)
+		if mb.backed && m.store != nil {
+			loaded, err := m.store.Load(mb.ref)
 			if err != nil {
 				return sem.Value{}, fmt.Errorf("core: snapshot read of %s of %s: %w", member, objID, err)
 			}
@@ -257,10 +265,15 @@ func (s *Snapshot) Read(objID ObjectID, member string) (sem.Value, error) {
 		}
 		runtime.Gosched()
 	}
-	if m.obs != nil {
-		m.obs.mvccFallbacks.Inc()
+	return s.fallbackSlow(objID, member)
+}
+
+// fallbackSlow is the metered exit from the lock-free protocol.
+func (s *Snapshot) fallbackSlow(objID ObjectID, member string) (sem.Value, error) {
+	if s.m.obs != nil {
+		s.m.obs.mvccFallbacks.Inc()
 	}
-	return m.snapshotReadSlow(objID, member, s.pin)
+	return s.m.snapshotReadSlow(objID, member, s.pin)
 }
 
 // snapshotReadSlow resolves a snapshot read under the monitor — the rare
@@ -272,15 +285,15 @@ func (s *Snapshot) Read(objID ObjectID, member string) (sem.Value, error) {
 // publish) is exactly the pinned value.
 func (m *Manager) snapshotReadSlow(objID ObjectID, member string, pin uint64) (sem.Value, error) {
 	defer m.mon.enter(m)()
-	o, ok := m.objs[objID]
-	if !ok {
+	o := m.objs.get(objID)
+	if o == nil {
 		return sem.Value{}, fmt.Errorf("%w: %s", ErrUnknownObject, objID)
 	}
-	ch := m.chainFor(chainKey{obj: objID, member: member})
-	if n := ch.at(pin); n != nil {
+	mb := o.ensureMember(member)
+	if n := mb.ch.at(pin); n != nil {
 		return n.val, nil
 	}
-	return m.loadPermanentLocked(o, member)
+	return m.loadPermanentLocked(o, mb)
 }
 
 // SnapshotRead is the one-shot form: pin, read one member, release.

@@ -144,7 +144,7 @@ func TestVersionGCHorizon(t *testing.T) {
 	s.Close()
 	commitAdd(t, m, "D", "Y", -1) // any publish GCs with no pins left
 
-	ch := m.chainFor(chainKey{obj: "X", member: ""})
+	ch := &m.objs.get("X").member("").ch
 	n := 0
 	for node := ch.head.Load(); node != nil; node = node.prev.Load() {
 		n++

@@ -1,105 +1,200 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"preserial/internal/sem"
 )
 
 // waitEntry is one queued invocation on an object (an element of X_waiting,
-// paired with A_twait).
+// paired with A_twait). sleeping marks a waiter whose transaction sleeps:
+// it keeps its place in the queue but is skipped by dispatch
+// (X_waiting − X_sleeping).
 type waitEntry struct {
 	tx       TxID
 	op       sem.Op
 	since    time.Time
 	priority int
+	sleeping bool
 }
 
-// commitRecord is one element of X_committed with its commit time X_tc and
-// a manager-wide sequence number (virtual clocks make simultaneous events
-// common, so "committed after A_tsleep" is decided by sequence, not time).
+// commitRecord is one element of X_committed. X_tc is the manager-wide
+// commit sequence, not a timestamp: virtual clocks make simultaneous events
+// common, so "committed after A_tsleep" is decided — and the record pruned
+// — by sequence alone.
 type commitRecord struct {
 	tx  TxID
 	op  sem.Op
-	tc  time.Time
 	seq uint64
 }
 
-// object carries the per-object state of Section IV: the X_permanent mirror
-// plus the pending/waiting/committing/committed/sleeping transaction sets
-// and the per-transaction read/temp/new values. All access is guarded by
-// the Manager's mutex.
+// holderFlags places a holder in the paper's per-object transaction sets.
+type holderFlags uint8
+
+const (
+	// holdPending: in X_pending — granted, working on its virtual copy.
+	holdPending holderFlags = 1 << iota
+	// holdCommitting: in X_committing — local commit done, X_new defined.
+	holdCommitting
+	// holdReleased: a read-class op whose pending slot was freed at local
+	// commit but whose transaction has not yet published or aborted. It no
+	// longer blocks admission (that is the point of the early release) but
+	// stays visible to awakening sleepers, which would otherwise miss the
+	// conflict in the window while the commit's SST runs on other objects.
+	holdReleased
+	// holdSleeping: in X_sleeping (always together with holdPending).
+	holdSleeping
+)
+
+// holder is one transaction's granted invocation on an object: its place in
+// X_pending / X_committing / X_sleeping (flags) and the per-transaction
+// values X_read^A, A_temp^X and X_new^A. An object keeps its holders in one
+// small slice in grant order — every consumer scans them linearly anyway,
+// and an idle object carries no per-set maps.
+type holder struct {
+	tx    TxID
+	op    sem.Op
+	read  sem.Value // X_read^A: X_permanent at grant time
+	temp  sem.Value // A_temp^X, while pending
+	neu   sem.Value // X_new^A, while committing
+	flags holderFlags
+}
+
+// blocks reports whether the holder is in (X_pending − X_sleeping) ∪
+// X_committing, the set new admissions must be compatible with.
+func (h *holder) blocks() bool {
+	return h.flags&holdCommitting != 0 || h.flags&(holdPending|holdSleeping) == holdPending
+}
+
+// member is one data member of an object: its backing store location, the
+// X_permanent mirror and the committed version chain. name, ref, backed and
+// next never change once the member is linked, so the snapshot read path
+// walks the list and the chain without the monitor; perm and known belong
+// to the monitor.
+type member struct {
+	name   string
+	ref    StoreRef
+	backed bool      // ref names a store location (false: purely virtual)
+	known  bool      // perm loaded?
+	perm   sem.Value // X_permanent (mirror)
+	ch     chain
+	next   *member
+}
+
+// object carries the per-object state of Section IV: the members with their
+// X_permanent mirrors, the holders (pending, committing and sleeping sets
+// with their read/temp/new values), the wait queue and the committed
+// history. Everything but the member list is guarded by the Manager's
+// monitor.
 type object struct {
 	id       ObjectID
 	conflict ConflictFunc
-	// refs maps data members to their backing store locations; empty for
-	// unbacked (purely virtual) objects.
-	refs map[string]StoreRef
-	deps *sem.Dependencies
+	deps     *sem.Dependencies
 
-	permanent map[string]sem.Value // X_permanent per member (mirror)
-	permKnown map[string]bool      // member mirror loaded?
+	// members is a singly linked list: registered members in name order,
+	// then (prepended) members first touched without a registration. A
+	// list, not a slice, so a member can be added while snapshot readers
+	// walk it.
+	members atomic.Pointer[member]
 
-	pending    map[TxID]sem.Op // X_pending
-	waiting    []*waitEntry    // X_waiting in arrival order
-	committing map[TxID]sem.Op // X_committing (at most one holder)
-	committed  []commitRecord  // X_committed ∪ X_tc history
-	sleeping   map[TxID]bool   // X_sleeping
-
-	// releasedReads holds read-class ops whose pending slot was freed at
-	// local commit but whose transaction has not yet published or aborted.
-	// They no longer block admission (that is the point of the early
-	// release) but stay visible to awakening sleepers, which would
-	// otherwise miss the conflict in the window while the commit's SST
-	// runs on other objects.
-	releasedReads map[TxID]sem.Op
-
-	read map[TxID]sem.Value // X_read^A
-	temp map[TxID]sem.Value // A_temp^X
-	neu  map[TxID]sem.Value // X_new^A
-
-	commitQ []TxID // transactions queued for the committer slot
+	holders   []holder       // X_pending ∪ X_committing ∪ released reads
+	waiting   []*waitEntry   // X_waiting in arrival order
+	committed []commitRecord // X_committed, in commit-sequence order
+	commitQ   []TxID         // transactions queued for the committer slot
 }
 
-func newObject(id ObjectID, refs map[string]StoreRef, deps *sem.Dependencies, conflict ConflictFunc) *object {
-	o := &object{
-		id:            id,
-		conflict:      conflict,
-		refs:          make(map[string]StoreRef, len(refs)),
-		deps:          deps,
-		permanent:     make(map[string]sem.Value),
-		permKnown:     make(map[string]bool),
-		pending:       make(map[TxID]sem.Op),
-		committing:    make(map[TxID]sem.Op),
-		sleeping:      make(map[TxID]bool),
-		releasedReads: make(map[TxID]sem.Op),
-		read:          make(map[TxID]sem.Value),
-		temp:          make(map[TxID]sem.Value),
-		neu:           make(map[TxID]sem.Value),
+// member returns the named member, nil when it was neither registered nor
+// touched yet. Safe without the monitor.
+func (o *object) member(name string) *member {
+	for mb := o.members.Load(); mb != nil; mb = mb.next {
+		if mb.name == name {
+			return mb
+		}
 	}
-	for m, r := range refs {
-		o.refs[m] = r
+	return nil
+}
+
+// ensureMember returns the named member, linking a virtual (unbacked) one
+// on first touch. Caller holds the monitor.
+func (o *object) ensureMember(name string) *member {
+	if mb := o.member(name); mb != nil {
+		return mb
 	}
-	return o
+	mb := &member{name: name, next: o.members.Load()}
+	o.members.Store(mb)
+	return mb
+}
+
+// holder returns tx's holder entry, if any. The pointer is valid until the
+// holder slice next changes.
+func (o *object) holder(tx TxID) *holder {
+	for i := range o.holders {
+		if o.holders[i].tx == tx {
+			return &o.holders[i]
+		}
+	}
+	return nil
+}
+
+// pendingHolder returns tx's holder when it is in X_pending.
+func (o *object) pendingHolder(tx TxID) *holder {
+	if h := o.holder(tx); h != nil && h.flags&holdPending != 0 {
+		return h
+	}
+	return nil
+}
+
+// removeHolder drops tx's holder, keeping grant order. The backing array
+// is released with the last holder so an idle object stays small.
+func (o *object) removeHolder(tx TxID) {
+	for i := range o.holders {
+		if o.holders[i].tx != tx {
+			continue
+		}
+		last := len(o.holders) - 1
+		copy(o.holders[i:], o.holders[i+1:])
+		o.holders[last] = holder{}
+		o.holders = o.holders[:last]
+		if last == 0 {
+			o.holders = nil
+		}
+		return
+	}
+}
+
+// hasCommitter reports whether the exclusive committer slot is taken.
+func (o *object) hasCommitter() bool {
+	for i := range o.holders {
+		if o.holders[i].flags&holdCommitting != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// setSleeping moves tx into or out of X_sleeping, whether it holds the
+// object or waits for it.
+func (o *object) setSleeping(tx TxID, sleeping bool) {
+	if h := o.pendingHolder(tx); h != nil {
+		if sleeping {
+			h.flags |= holdSleeping
+		} else {
+			h.flags &^= holdSleeping
+		}
+	}
+	if w := o.waiterFor(tx); w != nil {
+		w.sleeping = sleeping
+	}
 }
 
 // holdersConflicting reports whether op by tx conflicts with any holder in
 // (X_pending − X_sleeping) ∪ X_committing — the admission precondition of
 // Algorithm 2.
 func (o *object) holdersConflicting(tx TxID, op sem.Op) bool {
-	for b, bop := range o.pending {
-		if b == tx || o.sleeping[b] {
-			continue
-		}
-		if o.conflict(op, bop, o.deps) {
-			return true
-		}
-	}
-	for b, bop := range o.committing {
-		if b == tx {
-			continue
-		}
-		if o.conflict(op, bop, o.deps) {
+	for i := range o.holders {
+		h := &o.holders[i]
+		if h.tx != tx && h.blocks() && o.conflict(op, h.op, o.deps) {
 			return true
 		}
 	}
@@ -110,17 +205,10 @@ func (o *object) holdersConflicting(tx TxID, op sem.Op) bool {
 // graph).
 func (o *object) conflictingHolders(tx TxID, op sem.Op) []TxID {
 	var out []TxID
-	for b, bop := range o.pending {
-		if b == tx || o.sleeping[b] {
-			continue
-		}
-		if o.conflict(op, bop, o.deps) {
-			out = append(out, b)
-		}
-	}
-	for b, bop := range o.committing {
-		if b != tx && o.conflict(op, bop, o.deps) {
-			out = append(out, b)
+	for i := range o.holders {
+		h := &o.holders[i]
+		if h.tx != tx && h.blocks() && o.conflict(op, h.op, o.deps) {
+			out = append(out, h.tx)
 		}
 	}
 	return out
@@ -128,21 +216,13 @@ func (o *object) conflictingHolders(tx TxID, op sem.Op) []TxID {
 
 // sleepConflict implements the awake-time checks of Algorithm 9 for one
 // object: a conflict with any transaction currently in X_pending ∪
-// X_committing, or with any transaction committed after the sleep (X_tc^B >
-// A_tsleep, compared by commit sequence).
+// X_committing (or holding a released read), or with any transaction
+// committed after the sleep (X_tc^B > A_tsleep, compared by commit
+// sequence).
 func (o *object) sleepConflict(tx TxID, op sem.Op, sleepSeq uint64) bool {
-	for b, bop := range o.pending {
-		if b != tx && o.conflict(op, bop, o.deps) {
-			return true
-		}
-	}
-	for b, bop := range o.committing {
-		if b != tx && o.conflict(op, bop, o.deps) {
-			return true
-		}
-	}
-	for b, bop := range o.releasedReads {
-		if b != tx && o.conflict(op, bop, o.deps) {
+	for i := range o.holders {
+		h := &o.holders[i]
+		if h.tx != tx && o.conflict(op, h.op, o.deps) {
 			return true
 		}
 	}
@@ -159,23 +239,27 @@ func (o *object) sleepConflict(tx TxID, op sem.Op, sleepSeq uint64) bool {
 // caps this count).
 func (o *object) compatibleUpdaters(tx TxID, op sem.Op) int {
 	n := 0
-	for b, bop := range o.pending {
-		if b == tx || o.sleeping[b] || !bop.Class.IsUpdate() {
-			continue
-		}
-		if o.deps.Dependent(bop.Member, op.Member) {
-			n++
-		}
-	}
-	for b, bop := range o.committing {
-		if b == tx || !bop.Class.IsUpdate() {
-			continue
-		}
-		if o.deps.Dependent(bop.Member, op.Member) {
+	for i := range o.holders {
+		h := &o.holders[i]
+		if h.tx != tx && h.blocks() && h.op.Class.IsUpdate() && o.deps.Dependent(h.op.Member, op.Member) {
 			n++
 		}
 	}
 	return n
+}
+
+// holderless reports whether the object currently has no non-sleeping
+// holder whose op shares op's dependency group — used by the starvation
+// extension, which only defers compatible *joins* (the first holder is
+// always admitted).
+func (o *object) holderless(op sem.Op, tx TxID) bool {
+	for i := range o.holders {
+		h := &o.holders[i]
+		if h.tx != tx && h.blocks() && o.deps.Dependent(h.op.Member, op.Member) {
+			return false
+		}
+	}
+	return true
 }
 
 // incompatibleWaitersAhead counts queued invocations that conflict with op
@@ -202,6 +286,9 @@ func (o *object) removeWaiter(tx TxID) *waitEntry {
 	for i, w := range o.waiting {
 		if w.tx == tx {
 			o.waiting = append(o.waiting[:i], o.waiting[i+1:]...)
+			if len(o.waiting) == 0 {
+				o.waiting = nil
+			}
 			return w
 		}
 	}
@@ -230,28 +317,23 @@ func (o *object) removeFromCommitQ(tx TxID) {
 
 // dropTx removes every trace of tx from the object (abort cleanup).
 func (o *object) dropTx(tx TxID) {
-	delete(o.pending, tx)
-	delete(o.committing, tx)
-	delete(o.releasedReads, tx)
-	delete(o.sleeping, tx)
-	delete(o.read, tx)
-	delete(o.temp, tx)
-	delete(o.neu, tx)
+	o.removeHolder(tx)
 	o.removeWaiter(tx)
 	o.removeFromCommitQ(tx)
 }
 
-// pruneCommitted drops history entries no sleeping transaction can still
-// need (those committed before the horizon).
-func (o *object) pruneCommitted(horizon time.Time) {
-	if len(o.committed) == 0 {
+// pruneCommitted drops the history records at or below the GC horizon: no
+// sleeper went to sleep before them, so no awake check can still ask about
+// them. Records are in sequence order, so they form a prefix.
+func (o *object) pruneCommitted(horizon uint64) {
+	k := 0
+	for k < len(o.committed) && o.committed[k].seq <= horizon {
+		o.committed[k] = commitRecord{}
+		k++
+	}
+	if k == len(o.committed) {
+		o.committed = nil
 		return
 	}
-	keep := o.committed[:0]
-	for _, c := range o.committed {
-		if !c.tc.Before(horizon) {
-			keep = append(keep, c)
-		}
-	}
-	o.committed = keep
+	o.committed = o.committed[k:]
 }

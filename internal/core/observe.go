@@ -41,6 +41,9 @@ type Observability struct {
 	sstRetries *obs.Counter // gtm_sst_retries_total
 	sstQueue   atomic.Int64 // gtm_sst_queue_depth (fed by the SST executor)
 
+	gcQueueDepth     atomic.Int64 // gtm_gc_queue_depth (horizon-queue entries not yet due)
+	terminalRetained atomic.Int64 // gtm_terminal_retained (terminal transactions in the registry)
+
 	monitorEntries *obs.Counter // gtm_monitor_entries_total
 
 	mvccReads      *obs.Counter // mvcc_snapshot_reads_total
@@ -106,6 +109,10 @@ func NewObservability(reg *obs.Registry, traceDepth int) *Observability {
 	}
 	reg.GaugeFunc(obs.NameSSTQueueDepth, "Secure System Transactions queued for the executor.",
 		func() float64 { return float64(o.sstQueue.Load()) })
+	reg.GaugeFunc(obs.NameGCQueueDepth, "Committed operations queued for history pruning and version GC behind the horizon.",
+		func() float64 { return float64(o.gcQueueDepth.Load()) })
+	reg.GaugeFunc(obs.NameTerminalRetained, "Terminal transactions still answerable from the registry (bounded; oldest retired first).",
+		func() float64 { return float64(o.terminalRetained.Load()) })
 	reg.GaugeFunc(obs.NameMVCCGCHorizonLag, "Commit sequences between the head and the version-GC horizon.",
 		func() float64 { return float64(o.mvccHorizonLag.Load()) })
 	for r := AbortUser; r < numAbortReasons; r++ {

@@ -88,8 +88,8 @@ func TestReadSlotReleasedAtLocalCommit(t *testing.T) {
 	waitState(t, m, "R", StateCommitted)
 
 	defer m.mon.enter(m)()
-	if len(m.objs[ObjectID("X")].releasedReads) != 0 {
-		t.Fatal("releasedReads not cleared after publish")
+	if len(m.objs.get("X").holders) != 1 { // W's pending add/sub only
+		t.Fatal("released read not cleared after publish")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"preserial/internal/ldbs"
+	"preserial/internal/sem"
 )
 
 // This file is the participant half of the cross-shard commit protocol
@@ -72,7 +73,7 @@ func (m *Manager) StagedWrites(txID TxID) ([]SSTWrite, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTx, txID)
 	}
-	if !t.prepared {
+	if !t.inDoubt() {
 		return nil, fmt.Errorf("%w: %s is not prepared", ErrBadState, txID)
 	}
 	out := make([]SSTWrite, len(t.stagedWrites))
@@ -92,7 +93,7 @@ func (m *Manager) Decide(txID TxID, commit bool, extra ...SSTWrite) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTx, txID)
 	}
-	if !t.prepared {
+	if !t.inDoubt() {
 		return fmt.Errorf("%w: %s is not prepared", ErrBadState, txID)
 	}
 	locals, writes := t.stagedLocals, t.stagedWrites
@@ -181,12 +182,11 @@ func (m *Manager) invalidateMirrors(writes []SSTWrite) {
 	for _, w := range writes {
 		refs[w.Ref] = true
 	}
-	for _, o := range m.objs {
-		for member, ref := range o.refs {
-			if refs[ref] {
-				delete(o.permanent, member)
-				delete(o.permKnown, member)
-				m.chainFor(chainKey{obj: o.id, member: member}).head.Store(nil)
+	for _, o := range m.objs.all {
+		for mb := o.members.Load(); mb != nil; mb = mb.next {
+			if mb.backed && refs[mb.ref] {
+				mb.perm, mb.known = sem.Value{}, false
+				mb.ch.head.Store(nil)
 			}
 		}
 	}

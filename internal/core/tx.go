@@ -1,39 +1,54 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"preserial/internal/sem"
 )
 
-// transaction is the Manager's per-transaction record: the global state of
-// Section IV (A_state, A_temp lives on the objects, A_tsleep, A_twait) plus
-// bookkeeping for the two-phase commit over multiple objects.
+// transaction is the Manager's per-transaction record. The fields here are
+// what survives the terminal transition — enough to answer TxState, TxInfo
+// and Age until the record is forgotten or retired (see terminalRetention).
+// Everything a transaction needs only while it lives sits behind txLive and
+// is dropped the moment it commits or aborts.
 type transaction struct {
 	id       TxID
 	state    State
-	notify   Notify
+	reason   AbortReason
 	priority int
+	lastErr  error
+	began    time.Time
+	finished time.Time
 
-	objects map[ObjectID]bool // every object the transaction ever touched
+	// objects lists every object the transaction touched. While the
+	// transaction is Active, Waiting or Sleeping these are exactly the
+	// objects it holds or queues on.
+	objects []*object
 
-	waitingOn ObjectID  // the single object this transaction queues on
-	twait     time.Time // A_twait for waitingOn
-	tsleep    time.Time // A_tsleep
-	sleepSeq  uint64    // commit sequence observed at sleep time
+	*txLive // nil once the transaction is terminal
+}
 
-	began        time.Time
-	finished     time.Time
+// txLive is the state of a transaction that has not finished: the global
+// state of Section IV (A_tsleep, A_twait; A_temp lives on the objects) plus
+// bookkeeping for the two-phase commit over multiple objects.
+type txLive struct {
+	notify Notify
+
+	twait    time.Time // A_twait
+	tsleep   time.Time // A_tsleep
+	sleepSeq uint64    // commit sequence observed at sleep time
+	sleepNth uint64    // which of the manager's sleeps this is (see sleepEntry)
+
 	lastActivity time.Time // most recent client interaction (for the idle oracle)
-	reason       AbortReason
-	lastErr      error
 
 	// Commit progress: commitWant holds the objects still needing their
-	// committer slot (in canonical order); commitHeld the slots acquired;
-	// sstInFlight marks the window where the SST runs outside the monitor
-	// (the commit point: aborts are no longer possible).
-	commitWant  []ObjectID
-	commitHeld  map[ObjectID]bool
+	// committer slot (in canonical order); commitHeld the slots acquired,
+	// in the same order; sstInFlight marks the window where the SST runs
+	// outside the monitor (the commit point: aborts are no longer
+	// possible).
+	commitWant  []*object
+	commitHeld  []*object
 	readLocals  []localWrite // read-class payloads released at local commit
 	sstInFlight bool
 	commitStart time.Time // RequestCommit time, for the commit-latency histogram
@@ -51,13 +66,31 @@ type transaction struct {
 
 func newTransaction(id TxID, now time.Time) *transaction {
 	return &transaction{
-		id:           id,
-		state:        StateActive,
-		objects:      make(map[ObjectID]bool),
-		began:        now,
-		lastActivity: now,
-		commitHeld:   make(map[ObjectID]bool),
+		id:     id,
+		state:  StateActive,
+		began:  now,
+		txLive: &txLive{lastActivity: now},
 	}
+}
+
+// inDoubt reports whether the transaction sits at the prepared barrier.
+func (t *transaction) inDoubt() bool { return t.txLive != nil && t.prepared }
+
+// info renders the externally visible snapshot.
+func (t *transaction) info() TxInfo {
+	objs := make([]ObjectID, len(t.objects))
+	for i, o := range t.objects {
+		objs[i] = o.id
+	}
+	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	ti := TxInfo{
+		ID: t.id, State: t.state, Began: t.began, Finished: t.finished,
+		Reason: t.reason, Err: t.lastErr, Objects: objs, Priority: t.priority,
+	}
+	if t.txLive != nil {
+		ti.Sleeping = t.tsleep
+	}
+	return ti
 }
 
 // legalTransition encodes the transaction state machine S(A). Self

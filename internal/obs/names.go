@@ -29,6 +29,8 @@ const (
 	NameDrainSleeping       = "gtm_drain_sleeping_total"
 	NameTxPrepared          = "gtm_tx_prepared_total"
 	NameMonitorEntries      = "gtm_monitor_entries_total"
+	NameGCQueueDepth        = "gtm_gc_queue_depth"    // gauge: horizon-queue entries awaiting the GC horizon
+	NameTerminalRetained    = "gtm_terminal_retained" // gauge: terminal transactions still in the registry
 
 	// Multiversion read path (internal/core). Snapshot reads walk committed
 	// version chains without entering the GTM monitor; comparing

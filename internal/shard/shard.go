@@ -291,6 +291,16 @@ func (s *LocalShard) Kill() {
 	s.mu.Unlock()
 	if m != nil {
 		m.Close()
+		// A crash takes the callers' connections with it; in process the
+		// discarded manager has to let them go itself. Abort what still can
+		// abort (prepared and SST-in-flight transactions refuse and stay in
+		// doubt), so nobody waits forever on a commit slot or a grant that a
+		// dead manager will never hand out.
+		for _, ti := range m.Transactions() {
+			if !ti.State.Terminal() {
+				_ = m.Abort(ti.ID) // refusal: past its commit point, settled by recovery
+			}
+		}
 	}
 	if pers != nil {
 		pers.Close()

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-e2e bench-commit bench-shard bench-gateway bench-mvcc bench-storage chaos experiments fuzz obs-demo clean
+.PHONY: all build test lint race bench bench-e2e bench-shard bench-gateway bench-storage chaos experiments fuzz obs-demo clean
 
 all: build lint test
 
@@ -53,12 +53,6 @@ else
 	@test -n "$(W)" || { echo "usage: make bench-e2e W=<workload> | A=<results.json> B=<results.json>"; exit 2; }
 	bash bench/run.sh --workload $(W) --seed $(SEED) --trace $(TRACE)
 endif
-
-# Per-commit fsync vs WAL group commit at 1/8/32/128 concurrent committers,
-# plus the end-to-end commit-pipeline table.
-bench-commit:
-	$(GO) test -run=NONE -bench=CommitFsyncModes -benchtime=1s ./internal/ldbs
-	$(GO) run ./cmd/experiments -run commitpipe
 
 # Single-node vs 4-shard gtmd throughput under gtmload's closed-loop
 # booking bench (see docs/SHARDING.md). Both servers run identical flags:
@@ -111,29 +105,6 @@ bench-gateway:
 	grep -q '"bench": "gateway-swarm"' /tmp/bench-gateway.json && \
 	grep -q '"bytes_per_parked_session"' /tmp/bench-gateway.json && \
 	echo "--- report shape ok: /tmp/bench-gateway.json"
-
-# Read-mostly throughput: the same 90/10 read/write task mix with
-# transactional (locking) reads vs multiversion snapshot reads, plus a
-# writer-free window proving the snapshot path never enters the GTM
-# monitor. Asserts the committed BENCH_mvcc.json shape: ratio present,
-# snapshot reads counted, zero monitor entries in the proof window.
-BENCH_MVCC_WORKERS ?= 32
-BENCH_MVCC_DURATION ?= 5s
-bench-mvcc:
-	@$(GO) build -o /tmp/gtmd-bench ./cmd/gtmd
-	@$(GO) build -o /tmp/gtmload-bench ./cmd/gtmload
-	@/tmp/gtmd-bench -addr 127.0.0.1:7781 -seats 100000000 -epoch-commit 32 \
-		-idle-timeout 0 -wait-timeout 0 -sleep-abort-after 0 & \
-	pid=$$!; \
-	trap "kill $$pid 2>/dev/null" EXIT; \
-	sleep 1; \
-	/tmp/gtmload-bench -addr 127.0.0.1:7781 -bench-mvcc \
-		-workers $(BENCH_MVCC_WORKERS) -duration $(BENCH_MVCC_DURATION) \
-		-json /tmp/bench-mvcc.json; \
-	grep -q '"ratio"' /tmp/bench-mvcc.json && \
-	grep -q '"proof_monitor_entries_delta": 0,' /tmp/bench-mvcc.json && \
-	grep -qv '"proof_snapshot_reads_delta": 0,' /tmp/bench-mvcc.json && \
-	echo "--- report shape ok: /tmp/bench-mvcc.json"
 
 # Storage-engine bench (docs/STORAGE.md): mem vs disk at page-cache
 # budgets of 100%/50%/10% of the measured working set, each with and

@@ -13,7 +13,6 @@
 //	experiments -run itinerary # multi-object package tours (Section II) GTM vs 2PL
 //	experiments -run modelcheck # Eq. 5's predicted speed-up vs the emulation's
 //	experiments -run starvation # §VII starvation control under a hostile mix
-//	experiments -run commitpipe # commit-pipeline throughput: SST executor × WAL group commit
 //	experiments -run storage  # storage engines: mem vs disk under page-cache pressure
 //	experiments -run all      # everything (default)
 //
@@ -41,7 +40,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: all, tableI, tableII, fig1, fig2, fig3a, fig3b, ablation, classes, sensitivity, itinerary, modelcheck, starvation, commitpipe, storage")
+	run := flag.String("run", "all", "experiment to run: all, tableI, tableII, fig1, fig2, fig3a, fig3b, ablation, classes, sensitivity, itinerary, modelcheck, starvation, storage")
 	n := flag.Int("n", 1000, "emulated transaction population (fig3*, ablation); committed transactions per configuration (storage)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.StringVar(&csvDir, "csv", "", "also write figure data as CSV files into this directory")
@@ -67,10 +66,9 @@ func main() {
 		"itinerary":   itinerary,
 		"modelcheck":  modelcheck,
 		"starvation":  starvation,
-		"commitpipe":  commitpipe,
 		"storage":     storageBench,
 	}
-	order := []string{"tableI", "tableII", "fig1", "fig2", "fig3a", "fig3b", "ablation", "classes", "sensitivity", "itinerary", "modelcheck", "starvation", "commitpipe", "storage"}
+	order := []string{"tableI", "tableII", "fig1", "fig2", "fig3a", "fig3b", "ablation", "classes", "sensitivity", "itinerary", "modelcheck", "starvation", "storage"}
 
 	names := order
 	if *run != "all" {

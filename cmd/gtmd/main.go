@@ -139,10 +139,8 @@ func main() {
 	invokeTO := flag.Duration("invoke-timeout", 0, "fail blocking invokes after this (0: wait forever)")
 	httpAddr := flag.String("http", "", "diagnostics listen address for /metrics, /healthz, /debug/trace and /debug/pprof (empty: disabled)")
 	traceDepth := flag.Int("trace-depth", 4096, "GTM event trace ring capacity")
-	sstWorkers := flag.Int("sst-workers", 4, "SST executor worker goroutines per shard (0: apply SSTs on the committing goroutine, as before)")
+	sstWorkers := flag.Int("sst-workers", 4, "SST executor worker goroutines per shard; a free worker applies everything queued as one store transaction (0: apply each SST on the committing goroutine)")
 	sstQueue := flag.Int("sst-queue-depth", 64, "SST executor queue depth; overflow runs inline")
-	groupCommit := flag.Bool("wal-group-commit", true, "batch concurrent commits into shared WAL fsyncs")
-	groupWindow := flag.Duration("wal-group-window", 0, "extra wait before the leader syncs, to grow batches (0: sync immediately)")
 	syncDelay := flag.Duration("wal-sync-delay", 0, "emulated stable-storage latency added to every WAL sync (models mobile-class flash; 0: none)")
 	drainTO := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT: wait this long for in-flight commits before exiting")
 	shards := flag.Int("shards", 1, "run N in-process shards with cross-shard two-phase commit (1: classic single node)")
@@ -163,8 +161,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a warm follower of the primary at this address (its -repl-listen); -data names the follower's own directory")
 	replAsync := flag.Bool("repl-async", false, "acknowledge commits without waiting for a follower ack (default: semi-synchronous once a follower attaches)")
 	promoteOnExit := flag.Bool("promote-on-exit", false, "with -replica-of: on the shutdown signal, promote the follower directory to a primary at the next fencing epoch before exiting (fence the old primary first)")
-	epochBatch := flag.Int("epoch-commit", 0, "group decided commits into epochs of up to N store transactions, amortizing store 2PL and WAL fsync (0: apply each SST individually)")
-	epochWindow := flag.Duration("epoch-window", 2*time.Millisecond, "how long a part-filled epoch waits for company before sealing (0: seal on every arrival)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "gtmd: ", log.LstdFlags)
@@ -189,9 +185,6 @@ func main() {
 		if *sstWorkers > 0 {
 			opts = append(opts, core.WithSSTExecutor(*sstWorkers, *sstQueue))
 		}
-		if *epochBatch > 0 {
-			opts = append(opts, core.WithEpochCommit(*epochBatch, *epochWindow))
-		}
 		return opts
 	}
 	modes := 0
@@ -207,8 +200,7 @@ func main() {
 		logger.Fatal("-repl-listen applies to single-node and participant modes only")
 	}
 
-	walOpts := ldbs.Options{Obs: reg, DisableGroupCommit: !*groupCommit, GroupCommitWindow: *groupWindow,
-		SyncDelay: *syncDelay}
+	walOpts := ldbs.Options{Obs: reg, SyncDelay: *syncDelay}
 	switch {
 	case *replicaOf != "":
 		runFollower(cfg)
@@ -232,7 +224,6 @@ func runSingle(cfg *config, walOpts ldbs.Options) {
 	if cfg.dataDir != "" {
 		pers = &ldbs.Persistence{Dir: cfg.dataDir, Obs: cfg.reg,
 			Store: cfg.store, PageCacheBytes: cfg.pageCache,
-			DisableGroupCommit: walOpts.DisableGroupCommit, GroupCommitWindow: walOpts.GroupCommitWindow,
 			SyncDelay: walOpts.SyncDelay}
 		recovered, err := pers.Open(demoSchemas())
 		if err != nil {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,5 +241,32 @@ func TestGTMDBinaryDisconnectSleep(t *testing.T) {
 	v, err := info.Members[""].ToSem()
 	if err != nil || v.Int64() != 99 {
 		t.Fatalf("rooms = %v, %v", v, err)
+	}
+}
+
+// TestGTMDRemovedFlagsStayRemoved: the commit-pipeline knobs that became
+// constants are rejected by the flag package, so one cannot drift back in
+// unnoticed.
+func TestGTMDRemovedFlagsStayRemoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary test skipped in -short mode")
+	}
+	bin := buildGTMD(t)
+	for _, args := range [][]string{
+		{"-epoch-commit", "8"},
+		{"-epoch-window", "2ms"},
+		{"-wal-group-commit=false"},
+		{"-wal-group-window", "1ms"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("gtmd %v: err = %v, want exit status 2\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), "flag provided but not defined") {
+				t.Fatalf("gtmd %v printed %q, want the flag package's rejection", args, out)
+			}
+		})
 	}
 }

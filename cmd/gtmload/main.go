@@ -74,9 +74,7 @@ func main() {
 	parkAlpha := flag.Float64("park-alpha", 1.5, "Pareto tail exponent for park times (smaller = heavier tail)")
 	tenants := flag.Int("tenants", 4, "distinct tenants the swarm spreads clients across")
 	budgetBytes := flag.Int64("budget-bytes", 0, "fail the swarm run if bytes per parked session exceed this (0 = report only)")
-	jsonPath := flag.String("json", "", "write the swarm or mvcc report as JSON to this path")
-	benchMVCC := flag.Bool("bench-mvcc", false, "read-mostly mode: measure the same read/write task mix with transactional (locking) reads, then with multiversion snapshot reads, plus a writer-free window proving snapshot reads never enter the monitor; reports both throughputs and their ratio")
-	readPct := flag.Int("read-pct", 90, "percent of tasks that are reads in -bench-mvcc mode")
+	jsonPath := flag.String("json", "", "write the swarm report as JSON to this path")
 	flag.Parse()
 
 	if *swarm {
@@ -90,13 +88,6 @@ func main() {
 	}
 	if *bench {
 		runBench(*addr, *workers, *duration)
-		return
-	}
-	if *benchMVCC {
-		runBenchMVCC(mvccConfig{
-			addr: *addr, workers: *workers, duration: *duration,
-			readPct: *readPct, jsonPath: *jsonPath, seed: *seed,
-		})
 		return
 	}
 

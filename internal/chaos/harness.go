@@ -56,8 +56,8 @@ func NewHarness(dir string, objects int, seats int64, cfg faultnet.Config) (*Har
 	return NewHarnessOpts(dir, objects, seats, cfg)
 }
 
-// NewHarnessOpts is NewHarness with extra Manager options (epoch-grouped
-// commit, SST executors, …) applied to every recovered generation.
+// NewHarnessOpts is NewHarness with extra Manager options (SST executors,
+// …) applied to every recovered generation.
 func NewHarnessOpts(dir string, objects int, seats int64, cfg faultnet.Config, mopts ...core.Option) (*Harness, error) {
 	return NewHarnessStore(dir, objects, seats, cfg, StoreConfig{}, mopts...)
 }

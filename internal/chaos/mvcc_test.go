@@ -13,22 +13,22 @@ import (
 	"preserial/internal/wire"
 )
 
-// TestSnapshotConsistencyUnderEpochCommit drives money-transfer-style
-// transactions (move one seat from counter A to counter B) through
-// epoch-grouped commits while a fleet of read-only snapshot sessions sums
+// TestSnapshotConsistencyUnderBatchedCommit drives money-transfer-style
+// transactions (move one seat from counter A to counter B) through the
+// batching SST executor while a fleet of read-only snapshot sessions sums
 // every counter, with one crash-restart mid-traffic. The oracles:
 //
 //   - every complete snapshot sum equals the initial total exactly — a
 //     transfer conserves seats, so any consistent cut does too; a torn read
-//     (seeing A debited but not B credited, or half an epoch batch) shows
+//     (seeing A debited but not B credited, or half an SST batch) shows
 //     up as a wrong sum;
 //   - the committed total after the final recovery equals the initial
-//     total — an epoch batch that lands half a transfer across the crash
+//     total — an SST batch that lands half a transfer across the crash
 //     breaks conservation;
-//   - the snapshot read path and the epoch batcher were actually exercised
-//     (their counters moved), so the test cannot silently degrade into
-//     covering neither.
-func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
+//   - the snapshot read path was actually exercised and some store
+//     transaction carried more than one commit (their counters moved), so
+//     the test cannot silently degrade into covering neither.
+func TestSnapshotConsistencyUnderBatchedCommit(t *testing.T) {
 	writers, readers, runFor := 4, 3, 2500*time.Millisecond
 	if !testing.Short() {
 		writers, readers, runFor = 8, 4, 6*time.Second
@@ -38,7 +38,7 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 	const total = int64(objects) * seats
 
 	h, err := NewHarnessOpts(t.TempDir(), objects, seats, faultnet.Config{Seed: 91},
-		core.WithEpochCommit(8, 2*time.Millisecond))
+		core.WithSSTExecutor(2, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +86,40 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 			}
 		}(wr)
 	}
+
+	// Burster: in-process transfers on whatever generation is current,
+	// committed four at a time over disjoint pairs. RequestCommit only
+	// enqueues, so a burst is queued before a worker is back from the store
+	// and rides one store transaction. A burst that straddles the crash
+	// aborts or half-completes as transactions, never as transfers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; time.Now().Before(deadline); i++ {
+			h.mu.Lock()
+			m := h.m
+			h.mu.Unlock()
+			for p := 0; p < objects; p += 2 {
+				tx := core.TxID(fmt.Sprintf("burst-%d-%d", i, p))
+				src, dst := core.ObjectID(h.Object(p)), core.ObjectID(h.Object(p+1))
+				if m.Begin(tx) != nil {
+					continue
+				}
+				stage := func(obj core.ObjectID, delta int64) bool {
+					granted, err := m.Invoke(tx, obj, sem.Op{Class: sem.AddSub})
+					return err == nil && granted && m.Apply(tx, obj, sem.Int(delta)) == nil
+				}
+				if !stage(src, -1) || !stage(dst, 1) {
+					_ = m.Abort(tx)
+					continue
+				}
+				_ = m.RequestCommit(tx)
+			}
+			// Long enough for the burst to publish: the next one never
+			// queues behind this one's committer slots.
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
 
 	// Readers: read-only snapshot sessions over plain connections,
 	// redialing through crash and severed links. Partial snapshots (an
@@ -173,7 +207,7 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if final != total {
-		t.Errorf("committed total after recovery = %d, want %d — a transfer (or epoch batch) half-landed", final, total)
+		t.Errorf("committed total after recovery = %d, want %d — a transfer (or SST batch) half-landed", final, total)
 	}
 
 	if sums == 0 {
@@ -186,10 +220,11 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 	if metrics["mvcc_snapshot_reads_total"] == 0 {
 		t.Error("mvcc_snapshot_reads_total = 0; reads never took the snapshot path")
 	}
-	if metrics["epoch_batch_txs_total"] == 0 {
-		t.Error("epoch_batch_txs_total = 0; commits never rode an epoch batch")
+	batches, batched := metrics["gtm_sst_batches_total"], metrics["gtm_sst_batch_txs_total"]
+	if batched <= batches {
+		t.Errorf("%d SSTs in %d batches; no store transaction ever carried two commits", batched, batches)
 	}
-	t.Logf("snapshots: %d complete sums (%d torn); snapshot reads %d (fallbacks %d); epoch txs %d",
+	t.Logf("snapshots: %d complete sums (%d torn); snapshot reads %d (fallbacks %d); %d SSTs in %d batches",
 		sums, torn, metrics["mvcc_snapshot_reads_total"], metrics["mvcc_snapshot_fallbacks_total"],
-		metrics["epoch_batch_txs_total"])
+		batched, batches)
 }

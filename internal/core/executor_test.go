@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -312,5 +313,253 @@ func TestExecutorQueueOverflowRunsInline(t *testing.T) {
 	}
 	if store.Applied() != txs {
 		t.Fatalf("applied SSTs = %d, want %d", store.Applied(), txs)
+	}
+}
+
+// batchGate is a BatchStore over MemStore that records every batched call
+// and parks the first ApplySST until released, so a test can queue SSTs
+// behind one that is in flight.
+type batchGate struct {
+	*MemStore
+	gate    sync.Once
+	entered chan struct{}
+	release chan struct{}
+
+	mu      sync.Mutex
+	batches [][][]SSTWrite
+}
+
+func (s *batchGate) ApplySST(writes []SSTWrite) error {
+	s.gate.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+	return s.MemStore.ApplySST(writes)
+}
+
+func (s *batchGate) ApplySSTBatch(sets [][]SSTWrite) error {
+	s.mu.Lock()
+	s.batches = append(s.batches, sets)
+	s.mu.Unlock()
+	return s.MemStore.ApplySSTBatch(sets)
+}
+
+func (s *batchGate) batchCalls() [][][]SSTWrite {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.batches
+}
+
+// gatedManager builds a manager over a batchGate with objects O00..O<n-1>
+// seeded at 100. Object order is the reverse of StoreRef order, so a write
+// set that is not sorted shows.
+func gatedManager(t *testing.T, objs int, opts ...Option) (*Manager, *batchGate) {
+	t.Helper()
+	store := &batchGate{MemStore: NewMemStore(), entered: make(chan struct{}), release: make(chan struct{})}
+	m := NewManager(store, opts...)
+	for i := 0; i < objs; i++ {
+		ref := StoreRef{Table: "T", Key: fmt.Sprintf("K%02d", objs-1-i), Column: "v"}
+		store.Seed(ref, sem.Int(100))
+		if err := m.RegisterAtomicObject(ObjectID(fmt.Sprintf("O%02d", i)), ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, store
+}
+
+// stageAdd stages one granted AddSub of delta on obj for tx.
+func stageAdd(t *testing.T, m *Manager, tx TxID, obj ObjectID, delta int64) {
+	t.Helper()
+	if granted, err := m.Invoke(tx, obj, sem.Op{Class: sem.AddSub}); err != nil || !granted {
+		t.Fatalf("invoke %s on %s: granted=%v err=%v", tx, obj, granted, err)
+	}
+	if err := m.Apply(tx, obj, sem.Int(delta)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// beginAdd begins tx and stages one AddSub on obj.
+func beginAdd(t *testing.T, m *Manager, tx TxID, obj ObjectID, delta int64) {
+	t.Helper()
+	if err := m.Begin(tx); err != nil {
+		t.Fatal(err)
+	}
+	stageAdd(t, m, tx, obj, delta)
+}
+
+// commitHead commits HEAD on O00 and waits until its SST is parked in the
+// store: the one worker is busy, and every later commit queues behind it.
+func commitHead(t *testing.T, m *Manager, store *batchGate) {
+	t.Helper()
+	beginAdd(t, m, "HEAD", "O00", -1)
+	if err := m.RequestCommit("HEAD"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HEAD's SST never reached the store")
+	}
+}
+
+// TestExecutorDrainsQueueIntoOneBatch: N SSTs queued behind one in flight
+// reach the store as exactly one batched transaction of N write sets, in
+// queue order, each set in canonical StoreRef order.
+func TestExecutorDrainsQueueIntoOneBatch(t *testing.T) {
+	const n = 5
+	m, store := gatedManager(t, 1+2*n, WithSSTExecutor(1, 16))
+	defer m.Close()
+	commitHead(t, m, store)
+	for i := 0; i < n; i++ {
+		tx := TxID(fmt.Sprintf("T%d", i))
+		beginAdd(t, m, tx, ObjectID(fmt.Sprintf("O%02d", 1+2*i)), -1)
+		stageAdd(t, m, tx, ObjectID(fmt.Sprintf("O%02d", 2+2*i)), -2)
+		if err := m.RequestCommit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := m.TxState(tx); st != StateCommitting {
+			t.Fatalf("%s = %s, want Committing while queued", tx, st)
+		}
+	}
+	if store.Applied() != 0 {
+		t.Fatalf("store applied %d SSTs while the worker was parked", store.Applied())
+	}
+	close(store.release)
+	for i := 0; i < n; i++ {
+		waitState(t, m, TxID(fmt.Sprintf("T%d", i)), StateCommitted)
+	}
+	calls := store.batchCalls()
+	if len(calls) != 1 {
+		t.Fatalf("ApplySSTBatch calls = %d, want 1", len(calls))
+	}
+	if len(calls[0]) != n {
+		t.Fatalf("the batch carries %d sets, want %d", len(calls[0]), n)
+	}
+	for i, set := range calls[0] {
+		// Tx i wrote O(1+2i) and O(2+2i); the higher object has the lower ref.
+		lo := StoreRef{Table: "T", Key: fmt.Sprintf("K%02d", 2*n-2-2*i), Column: "v"}
+		hi := StoreRef{Table: "T", Key: fmt.Sprintf("K%02d", 2*n-1-2*i), Column: "v"}
+		if len(set) != 2 || set[0].Ref != lo || set[1].Ref != hi {
+			t.Fatalf("set %d = %v, want [%s %s]", i, set, lo, hi)
+		}
+	}
+	if store.Applied() != n+1 {
+		t.Fatalf("store applied %d write sets, want %d", store.Applied(), n+1)
+	}
+}
+
+// TestExecutorDepthOneNeverBatches: commits that find the queue empty take
+// the unbatched path, one ApplySST each.
+func TestExecutorDepthOneNeverBatches(t *testing.T) {
+	m, store := gatedManager(t, 1, WithSSTExecutor(4, 64))
+	defer m.Close()
+	close(store.release)
+	const commits = 5
+	for i := 0; i < commits; i++ {
+		tx := TxID(fmt.Sprintf("T%d", i))
+		beginAdd(t, m, tx, "O00", -1)
+		if err := m.RequestCommit(tx); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, tx, StateCommitted)
+	}
+	if calls := store.batchCalls(); len(calls) != 0 {
+		t.Fatalf("ApplySSTBatch called %d times at depth 1", len(calls))
+	}
+	if store.Applied() != commits {
+		t.Fatalf("store applied %d SSTs, want %d", store.Applied(), commits)
+	}
+}
+
+// TestExecutorBatchFallbackIsolatesFailure: when the batched store
+// transaction fails, its members are re-applied one SST at a time — the
+// transaction with the violating write set aborts, the others commit.
+func TestExecutorBatchFallbackIsolatesFailure(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, store := gatedManager(t, 4,
+		WithObservability(NewObservability(reg, 0)), WithSSTExecutor(1, 16))
+	defer m.Close()
+	store.Validate = func(ref StoreRef, v sem.Value) error {
+		if v.Int64() < 0 {
+			return fmt.Errorf("constraint: %s must stay non-negative, got %d", ref, v.Int64())
+		}
+		return nil
+	}
+	commitHead(t, m, store)
+	beginAdd(t, m, "GOOD1", "O01", -1)
+	beginAdd(t, m, "BAD", "O02", -101) // drives O02 to −1
+	beginAdd(t, m, "GOOD2", "O03", -1)
+	for _, tx := range []TxID{"GOOD1", "BAD", "GOOD2"} {
+		if err := m.RequestCommit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(store.release)
+	waitState(t, m, "GOOD1", StateCommitted)
+	waitState(t, m, "GOOD2", StateCommitted)
+	waitState(t, m, "BAD", StateAborted)
+	if info, err := m.TxInfo("BAD"); err != nil || info.Reason != AbortSSTFailure {
+		t.Fatalf("BAD aborted as %v (%v), want %s", info.Reason, err, AbortSSTFailure)
+	}
+	if v, _ := m.Permanent("O02", ""); !v.Equal(sem.Int(100)) {
+		t.Fatalf("O02 = %v, want 100 (BAD aborted)", v)
+	}
+	if v, _ := m.Permanent("O03", ""); !v.Equal(sem.Int(99)) {
+		t.Fatalf("O03 = %v, want 99", v)
+	}
+	snap := reg.Snapshot()
+	if got := snap[obs.NameSSTBatchFallbacks]; got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.NameSSTBatchFallbacks, got)
+	}
+	if b, txs := snap[obs.NameSSTBatches], snap[obs.NameSSTBatchTxs]; b != 2 || txs != 4 {
+		t.Fatalf("batches = %d carrying %d txs, want 2 carrying 4", b, txs)
+	}
+}
+
+// TestCloseDeliversQueuedOutcomes: Manager.Close with a part-filled queue
+// returns only after every queued SST has its outcome, and a commit after
+// Close still completes (on the committing goroutine).
+func TestCloseDeliversQueuedOutcomes(t *testing.T) {
+	m, store := gatedManager(t, 4, WithSSTExecutor(1, 16))
+	commitHead(t, m, store)
+	queued := []TxID{"A", "B"}
+	for i, tx := range queued {
+		beginAdd(t, m, tx, ObjectID(fmt.Sprintf("O%02d", i+1)), -1)
+		if err := m.RequestCommit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	// Release the store only once the queue is closed with A and B in it.
+	for {
+		m.exec.mu.Lock()
+		done := m.exec.closed
+		m.exec.mu.Unlock()
+		if done {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(store.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	for _, tx := range append(queued, "HEAD") {
+		if st, err := m.TxState(tx); err != nil || st != StateCommitted {
+			t.Fatalf("%s = %v, %v after Close; want Committed", tx, st, err)
+		}
+	}
+	beginAdd(t, m, "LATE", "O03", -1)
+	if err := m.RequestCommit("LATE"); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := m.TxState("LATE"); st != StateCommitted {
+		t.Fatalf("LATE = %s after RequestCommit on a closed executor, want Committed", st)
 	}
 }

@@ -327,6 +327,40 @@ func TestHistoryAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestHistoryRetentionBounded: the WithHistory log keeps the newest
+// historyRetention entries on a heap that stops growing, however many
+// operations commit.
+func TestHistoryRetentionBounded(t *testing.T) {
+	m := virtualManager(t, 1, WithHistory())
+	heapAfter := func(from, to int) uint64 {
+		for i := from; i < to; i++ {
+			commitOn(t, m, TxID(fmt.Sprintf("t%d", i)), "o0", addOp)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = historyRetention
+	h1 := heapAfter(0, n)
+	h2 := heapAfter(n, 2*n)
+	h3 := heapAfter(2*n, 3*n)
+	h := m.History()
+	if len(h) > n || len(h) <= n-historyChunk {
+		t.Fatalf("History has %d entries after %d commits, want within one chunk below %d", len(h), 3*n, n)
+	}
+	for i, e := range h {
+		if want := TxID(fmt.Sprintf("t%d", 3*n-len(h)+i)); e.Tx != want {
+			t.Fatalf("History[%d] is %s, want %s", i, e.Tx, want)
+		}
+	}
+	// An unbounded log adds ~190 B per entry, 12 MB per round.
+	t.Logf("heap after %d / %d / %d commits: %d / %d / %d KiB", n, 2*n, 3*n, h1>>10, h2>>10, h3>>10)
+	if h3 > h2+4<<20 {
+		t.Fatalf("heap grew from %d to %d bytes over %d commits at the retention bound", h2, h3, n)
+	}
+}
+
 func TestFifo(t *testing.T) {
 	var q fifo[int]
 	next, want := 0, 0

@@ -62,8 +62,8 @@ func (s *LDBSStore) ApplySST(writes []SSTWrite) error {
 
 // ApplySSTBatch implements BatchStore: every set's writes in one strictly-2PL
 // ldbs transaction — one lock-acquisition pass, one WAL frame, one fsync for
-// the whole commit epoch. The union is flattened into canonical StoreRef
-// order (stable, so a later set's write to the same ref — impossible while
+// the whole batch. The union is flattened into canonical StoreRef order
+// (stable, so a later set's write to the same ref — impossible while
 // committer slots are exclusive, but cheap to honor — lands last) before any
 // lock is taken, preserving the SST↔SST deadlock-freedom argument.
 func (s *LDBSStore) ApplySSTBatch(sets [][]SSTWrite) error {

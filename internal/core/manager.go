@@ -38,7 +38,6 @@ type Manager struct {
 	opts  options
 	obs   *Observability // nil unless WithObservability
 	exec  *sstExecutor   // nil unless WithSSTExecutor
-	epoch *epochBatcher  // nil unless WithEpochCommit
 
 	mvcc mvccState // the monitor-free snapshot read path (mvcc.go)
 
@@ -77,7 +76,12 @@ const terminalRetention = 1 << 14
 
 // historyChunk is the WithHistory log's chunk size: the log grows by whole
 // chunks, so a long run never re-copies what it already recorded.
-const historyChunk = 1024
+// historyRetention bounds the log: once that many entries are held, opening
+// a new chunk drops the oldest one whole.
+const (
+	historyChunk     = 1024
+	historyRetention = 64 * historyChunk
+)
 
 // gcBatch bounds the horizon-queue entries one publish retires beyond twice
 // its own, so the backlog released by one long sleeper's wake-up is worked
@@ -130,22 +134,15 @@ func NewManager(store Store, opt ...Option) *Manager {
 		if m.obs != nil {
 			gauge = &m.obs.sstQueue
 		}
-		m.exec = newSSTExecutor(m.opts.sstWorkers, m.opts.sstQueueDepth, gauge)
-	}
-	if m.opts.epochMaxBatch > 0 {
-		m.epoch = newEpochBatcher(m, m.opts.epochMaxBatch, m.opts.epochWindow)
+		m.exec = newSSTExecutor(m.opts.sstWorkers, m.opts.sstQueueDepth, gauge, m.applySSTs)
 	}
 	return m
 }
 
-// Close flushes any open commit epoch and stops the SST executor (if any)
-// after its queue drains. The Manager remains usable — later SSTs simply
-// run unbatched and unpooled. Managers created without an executor or
-// epoch batching need no Close.
+// Close stops the SST executor (if any) after its queue drains. The Manager
+// remains usable — later SSTs simply run unbatched and unpooled. Managers
+// created without an executor need no Close.
 func (m *Manager) Close() {
-	if m.epoch != nil {
-		m.epoch.flushAll()
-	}
 	if m.exec != nil {
 		m.exec.close()
 	}
@@ -601,33 +598,24 @@ func (m *Manager) collectCommitLocked(t *transaction) ([]localWrite, []SSTWrite)
 	return locals, writes
 }
 
-// launchSSTLocked hands the Secure System Transaction to the epoch batcher,
-// the executor, or the goroutine exiting the monitor, and marks the commit
-// point. sstActive covers the whole window from here to publication: while
-// it is non-zero a store load is not committed-stable, and the snapshot
-// read path's miss protocol retries instead of trusting it.
+// launchSSTLocked marks the commit point and hands the Secure System
+// Transaction to the executor's queue once the monitor is exited. A manager
+// built without WithSSTExecutor, or one whose queue is full or closed,
+// applies the SST on the goroutine exiting the monitor instead — the
+// executor's synchronous edge, not a second pipeline. sstActive covers the
+// whole window from here to publication: while it is non-zero a store load
+// is not committed-stable, and the snapshot read path's miss protocol
+// retries instead of trusting it.
 func (m *Manager) launchSSTLocked(t *transaction, locals []localWrite, writes []SSTWrite) {
 	t.sstInFlight = true
 	t.sstStart = m.clk.Now()
 	m.mvcc.sstActive.Add(1)
-	id := t.id
-	if m.epoch != nil {
-		b := m.epoch
-		m.mon.queue(func() { b.add(epochTx{id: id, locals: locals, writes: writes}) })
-		return
-	}
-	run := func() {
-		m.completeSST(id, locals, m.runSST(writes))
-	}
-	if m.exec != nil {
-		// Hand the SST to the worker pool; the committing goroutine only
-		// pays the enqueue.
-		exec := m.exec
-		m.mon.queue(func() { exec.submit(run) })
-	} else {
-		// Seed semantics: run on the goroutine exiting the monitor.
-		m.mon.queue(run)
-	}
+	job := sstJob{id: t.id, locals: locals, writes: writes}
+	m.mon.queue(func() {
+		if m.exec == nil || !m.exec.submit(job) {
+			m.applySSTs([]sstJob{job})
+		}
+	})
 }
 
 // runSST executes one Secure System Transaction with the configured retry
@@ -727,12 +715,18 @@ func (m *Manager) publishLocked(t *transaction, locals []localWrite) {
 }
 
 // recordHistoryLocked appends to the WithHistory log, opening a new chunk
-// when the last one is full.
+// when the last one is full. At historyRetention the new chunk is the
+// oldest one's storage, recycled.
 func (m *Manager) recordHistoryLocked(e HistoryEntry) {
 	last := len(m.history) - 1
 	if last < 0 || len(m.history[last]) == historyChunk {
-		m.history = append(m.history, nil)
-		last++
+		var chunk []HistoryEntry
+		if len(m.history) == historyRetention/historyChunk {
+			chunk = m.history[0][:0]
+			m.history = m.history[:copy(m.history, m.history[1:])]
+		}
+		m.history = append(m.history, chunk)
+		last = len(m.history) - 1
 	}
 	m.history[last] = append(m.history[last], e)
 }

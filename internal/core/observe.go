@@ -54,11 +54,9 @@ type Observability struct {
 	mvccGCed       *obs.Counter // mvcc_versions_gced_total
 	mvccHorizonLag atomic.Int64 // mvcc_gc_horizon_lag (commitSeq − GC horizon)
 
-	epochSealsSize   *obs.Counter // epoch_seals_total{cause="size"}
-	epochSealsWindow *obs.Counter // epoch_seals_total{cause="window"}
-	epochSealsClose  *obs.Counter // epoch_seals_total{cause="close"}
-	epochBatchTxs    *obs.Counter // epoch_batch_txs_total
-	epochFallbacks   *obs.Counter // epoch_fallbacks_total
+	sstBatches        *obs.Counter // gtm_sst_batches_total
+	sstBatchTxs       *obs.Counter // gtm_sst_batch_txs_total
+	sstBatchFallbacks *obs.Counter // gtm_sst_batch_fallbacks_total
 
 	commitLatency *obs.Histogram // gtm_commit_seconds
 	invokeWait    *obs.Histogram // gtm_invoke_wait_seconds
@@ -97,11 +95,9 @@ func NewObservability(reg *obs.Registry, traceDepth int) *Observability {
 		mvccInstalled: reg.Counter(obs.NameMVCCVersionsInstalled, "Version-chain nodes installed at publish."),
 		mvccGCed:      reg.Counter(obs.NameMVCCVersionsGCed, "Version-chain nodes unlinked by horizon GC."),
 
-		epochSealsSize:   reg.Counter(obs.WithLabel(obs.NameEpochSeals, "cause", "size"), "Epoch batches sealed, by cause."),
-		epochSealsWindow: reg.Counter(obs.WithLabel(obs.NameEpochSeals, "cause", "window"), "Epoch batches sealed, by cause."),
-		epochSealsClose:  reg.Counter(obs.WithLabel(obs.NameEpochSeals, "cause", "close"), "Epoch batches sealed, by cause."),
-		epochBatchTxs:    reg.Counter(obs.NameEpochBatchTxs, "Transactions carried by sealed epoch batches."),
-		epochFallbacks:   reg.Counter(obs.NameEpochFallbacks, "Epoch batches that fell back to per-transaction SSTs."),
+		sstBatches:        reg.Counter(obs.NameSSTBatches, "SST groups applied: one per executor queue drain or inline SST."),
+		sstBatchTxs:       reg.Counter(obs.NameSSTBatchTxs, "Transactions carried by applied SST groups."),
+		sstBatchFallbacks: reg.Counter(obs.NameSSTBatchFallbacks, "Batched store transactions that failed and were re-applied one SST per transaction."),
 
 		commitLatency: reg.Histogram(obs.NameCommitSeconds, "Latency from commit request to publication.", nil),
 		invokeWait:    reg.Histogram(obs.NameInvokeWaitSeconds, "Queue time of invocations granted after a wait.", nil),

@@ -32,8 +32,6 @@ type options struct {
 	sstBackoffCap         time.Duration
 	sleep                 func(time.Duration)
 	obs                   *Observability
-	epochMaxBatch         int
-	epochWindow           time.Duration
 }
 
 func defaultOptions() options {
@@ -91,7 +89,9 @@ func WithHardDenial() Option {
 }
 
 // WithHistory records every committed per-object operation; required by the
-// serialization-graph oracle and the experiment reports.
+// serialization-graph oracle and the experiment reports. The log is bounded:
+// History returns at most the newest 65 536 entries (historyRetention), the
+// oldest leaving 1 024 at a time.
 func WithHistory() Option {
 	return func(o *options) { o.recordHistory = true }
 }
@@ -121,8 +121,16 @@ func WithSSTRetries(n int, filter func(error) bool) Option {
 // loop. When the queue is full the submitting goroutine runs the SST
 // itself — bounded-queue backpressure that degrades to the unpooled
 // semantics rather than queueing without limit. Retries (WithSSTRetries)
-// gain a capped exponential backoff with jitter (1ms base, 100ms cap;
-// tune with WithSSTBackoff after this option).
+// gain a capped exponential backoff with jitter (1ms base, 100ms cap; tune
+// with WithSSTBackoff after this option).
+//
+// A worker that becomes free applies everything queued as one store
+// transaction (one 2PL pass, one WAL fsync) when the store is a BatchStore.
+// A transaction's outcome still arrives only after that store transaction
+// durably commits; two queued transactions can never write the same store
+// ref, because each holds its object's exclusive committer slot through
+// publication; and a failed batch is re-applied one SST per transaction, so
+// a constraint violation aborts only its own transaction.
 //
 // Managers created with an executor should be Closed when discarded.
 // Without this option SSTs run as in the seed: on the goroutine that
@@ -148,34 +156,10 @@ func WithSSTBackoff(base, cap time.Duration) Option {
 	}
 }
 
-// WithEpochCommit groups decided Secure System Transactions into commit
-// epochs: instead of one store transaction (one 2PL pass, one WAL fsync)
-// per commit, SSTs accumulate until the epoch holds maxBatch of them or
-// window has elapsed since it opened, then the whole epoch is applied as a
-// single store transaction. This extends the WAL's group commit up into
-// the GTM — under write bursts the fsync and locking cost is amortized
-// across the epoch. window 0 seals an epoch on every arrival (batching
-// only what queued behind one monitor exit); maxBatch ≤ 0 disables epoch
-// commit entirely. Managers with epoch commit should be Closed when
-// discarded so a part-filled epoch flushes.
-//
-// Correctness notes: a transaction's outcome still arrives only after its
-// epoch's store transaction durably commits, and two transactions in one
-// epoch can never write the same store ref — each held its object's
-// exclusive committer slot through publication. A failed epoch falls back
-// to per-transaction SSTs so one transaction's constraint violation aborts
-// only itself.
-func WithEpochCommit(maxBatch int, window time.Duration) Option {
-	return func(o *options) {
-		o.epochMaxBatch = maxBatch
-		o.epochWindow = window
-	}
-}
-
 // WithSleepFunc replaces the real-time sleep used between SST retry
-// attempts and the epoch-commit window wait (default clock.Wall.Sleep).
-// Simulations and tests inject a no-op or a virtual wait so retry backoff
-// cannot stall a deterministic run on the wall clock.
+// attempts (default clock.Wall.Sleep). Simulations and tests inject a no-op
+// or a virtual wait so retry backoff cannot stall a deterministic run on
+// the wall clock.
 func WithSleepFunc(fn func(time.Duration)) Option {
 	return func(o *options) { o.sleep = fn }
 }

@@ -68,11 +68,11 @@ type Store interface {
 	ApplySST(writes []SSTWrite) error
 }
 
-// BatchStore is the optional Store surface epoch-grouped commit uses:
-// apply several SST write sets in one store transaction (one lock pass,
-// one durable commit) — all of them or none. On error the GTM falls back
-// to applying each set through ApplySST, so implementations need not
-// attribute failures to a specific set.
+// BatchStore is the optional Store surface the SST executor uses when a
+// worker finds several SSTs queued: apply their write sets in one store
+// transaction (one lock pass, one durable commit) — all of them or none.
+// On error the GTM falls back to applying each set through ApplySST, so
+// implementations need not attribute failures to a specific set.
 type BatchStore interface {
 	ApplySSTBatch(sets [][]SSTWrite) error
 }

@@ -48,3 +48,22 @@ func TestMemStoreValidate(t *testing.T) {
 		t.Errorf("partial write leaked: %s", v)
 	}
 }
+
+// TestMemStoreApplySSTBatch: a batch of two sets applies atomically and
+// counts two applied sets.
+func TestMemStoreApplySSTBatch(t *testing.T) {
+	s := NewMemStore()
+	sets := [][]SSTWrite{
+		{{Ref: StoreRef{Table: "T", Key: "a"}, Value: sem.Int(1)}},
+		{{Ref: StoreRef{Table: "T", Key: "b"}, Value: sem.Int(2)}},
+	}
+	if err := s.ApplySSTBatch(sets); err != nil {
+		t.Fatal(err)
+	}
+	if s.Applied() != 2 {
+		t.Fatalf("applied %d, want 2", s.Applied())
+	}
+	if v, _ := s.Load(StoreRef{Table: "T", Key: "b"}); !v.Equal(sem.Int(2)) {
+		t.Fatalf("b = %v, want 2", v)
+	}
+}

@@ -30,21 +30,13 @@ var (
 // Options configures a DB.
 type Options struct {
 	// WAL, when non-nil, receives the write-ahead log. If it also
-	// implements Syncer (e.g. *os.File) it is synced at every commit.
+	// implements Syncer (e.g. *os.File) every commit waits for a sync
+	// covering it. Concurrent commits share syncs through the group-commit
+	// coordinator: each transaction's records are appended contiguously
+	// under the WAL lock, and the transaction returns once a sync covering
+	// its commit LSN completes — a batch of one when nothing else is
+	// committing.
 	WAL io.Writer
-	// DisableGroupCommit makes every commit pay its own WAL flush+sync
-	// (the seed's force policy). By default concurrent commits share
-	// syncs through the group-commit coordinator: each transaction's
-	// records are appended contiguously under the WAL lock, and the
-	// transaction returns once a sync covering its commit LSN completes.
-	// Grouping changes throughput, not semantics — a batch of one is the
-	// per-commit policy.
-	DisableGroupCommit bool
-	// GroupCommitWindow makes the sync leader wait this long before
-	// flushing, accumulating more followers per fsync (higher latency,
-	// bigger batches). Zero syncs immediately; leader/follower batching
-	// still amortizes naturally while a sync is in flight.
-	GroupCommitWindow time.Duration
 	// SyncDelay adds a fixed pause to every WAL sync, emulating slow stable
 	// storage (mobile-class flash syncs in milliseconds, not the tens of
 	// microseconds a developer NVMe reports). Group commit amortizes the
@@ -122,8 +114,6 @@ func Open(opts Options) *DB {
 	}
 	if opts.WAL != nil {
 		db.log = newWAL(opts.WAL)
-		db.log.grouped = !opts.DisableGroupCommit
-		db.log.window = opts.GroupCommitWindow
 		db.log.syncDelay = opts.SyncDelay
 	}
 	if opts.Obs != nil {
@@ -562,9 +552,8 @@ func (tx *Tx) Scan(ctx context.Context, table string, visit func(key string, row
 // Commit logs the write set (force policy: the WAL is durable before the
 // store is touched), applies it to the store, and releases all locks. The
 // whole recBegin…recCommit frame is appended under one WAL lock hold, so
-// concurrent commits never interleave records; durability comes either
-// from a shared group-commit sync (default) or a private flush+sync
-// (Options.DisableGroupCommit). After a flush or sync failure the WAL is
+// concurrent commits never interleave records; durability comes from a
+// shared group-commit sync. After a flush or sync failure the WAL is
 // poisoned and every subsequent Commit fails fast with ErrWALPoisoned: the
 // failed transaction's tail is in doubt (a partially flushed recCommit
 // could be redone by recovery even though Commit returned an error), and
@@ -623,12 +612,7 @@ func (tx *Tx) commitLocked() (uint64, error) {
 			db.abort(tx)
 			return 0, err
 		}
-		if db.log.grouped {
-			err = db.log.WaitDurable(lsn)
-		} else {
-			err = db.log.Flush()
-		}
-		if err != nil {
+		if err = db.log.WaitDurable(lsn); err != nil {
 			db.abort(tx)
 			return 0, err
 		}

@@ -149,106 +149,65 @@ func TestGroupCommitConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestPerCommitSyncModeStillWorks pins the DisableGroupCommit escape hatch:
-// one fsync per commit, durable, replayable.
-func TestPerCommitSyncModeStillWorks(t *testing.T) {
-	buf := &lockedBuffer{}
-	db := Open(Options{WAL: buf, DisableGroupCommit: true})
-	if err := db.CreateTable(testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const commits = 5
-	for k := 0; k < commits; k++ {
+// TestWALPoisonedAfterSyncFailure: the commit that hits the sync failure
+// reports it; every later commit fails fast with ErrWALPoisoned, without
+// another sync attempt and without touching the store.
+func TestWALPoisonedAfterSyncFailure(t *testing.T) {
+	t.Run("group", func(t *testing.T) {
+		buf := &lockedBuffer{failFrom: 2} // first sync (baseline commit) succeeds
+		db := Open(Options{WAL: buf})
+		if err := db.CreateTable(testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
 		tx := db.Begin()
-		if err := tx.Upsert(ctx, "Flight", "AZ0", Row{"FreeTickets": sem.Int(int64(k))}); err != nil {
+		if err := tx.Insert(ctx, "Flight", "AZ0", Row{"FreeTickets": sem.Int(1)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s := buf.syncs.Load(); s != commits {
-		t.Fatalf("syncs = %d, want one per commit (%d)", s, commits)
-	}
-	fresh := Open(Options{})
-	if err := fresh.CreateTable(testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.ReplayWAL(bytes.NewReader(buf.bytes())); err != nil {
-		t.Fatal(err)
-	}
-	v, err := fresh.ReadCommitted("Flight", "AZ0", "FreeTickets")
-	if err != nil || v.Int64() != commits-1 {
-		t.Fatalf("recovered = %s (%v), want %d", v, err, commits-1)
-	}
-}
 
-// TestWALPoisonedAfterSyncFailure: the commit that hits the sync failure
-// reports it; every later commit fails fast with ErrWALPoisoned, without
-// another sync attempt and without touching the store.
-func TestWALPoisonedAfterSyncFailure(t *testing.T) {
-	for _, grouped := range []bool{true, false} {
-		name := "group"
-		if !grouped {
-			name = "per-commit"
+		tx2 := db.Begin()
+		if err := tx2.Set(ctx, "Flight", "AZ0", "FreeTickets", sem.Int(2)); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			buf := &lockedBuffer{failFrom: 2} // first sync (baseline commit) succeeds
-			db := Open(Options{WAL: buf, DisableGroupCommit: !grouped})
-			if err := db.CreateTable(testSchema()); err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			tx := db.Begin()
-			if err := tx.Insert(ctx, "Flight", "AZ0", Row{"FreeTickets": sem.Int(1)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(ctx); err != nil {
-				t.Fatal(err)
-			}
+		if err := tx2.Commit(ctx); err == nil {
+			t.Fatal("commit survived a sync failure")
+		}
+		// The failed commit must not have been applied to the store.
+		if v, _ := db.ReadCommitted("Flight", "AZ0", "FreeTickets"); v.Int64() != 1 {
+			t.Fatalf("failed commit applied: %s", v)
+		}
 
-			tx2 := db.Begin()
-			if err := tx2.Set(ctx, "Flight", "AZ0", "FreeTickets", sem.Int(2)); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx2.Commit(ctx); err == nil {
-				t.Fatal("commit survived a sync failure")
-			}
-			// The failed commit must not have been applied to the store.
-			if v, _ := db.ReadCommitted("Flight", "AZ0", "FreeTickets"); v.Int64() != 1 {
-				t.Fatalf("failed commit applied: %s", v)
-			}
-
-			syncsSoFar := buf.syncs.Load()
-			tx3 := db.Begin()
-			if err := tx3.Set(ctx, "Flight", "AZ0", "FreeTickets", sem.Int(3)); err != nil {
-				t.Fatal(err)
-			}
-			err := tx3.Commit(ctx)
-			if !errors.Is(err, ErrWALPoisoned) {
-				t.Fatalf("commit after poisoning = %v, want ErrWALPoisoned", err)
-			}
-			if buf.syncs.Load() != syncsSoFar {
-				t.Fatal("poisoned WAL attempted another sync")
-			}
-			if v, _ := db.ReadCommitted("Flight", "AZ0", "FreeTickets"); v.Int64() != 1 {
-				t.Fatalf("post-poison commit applied: %s", v)
-			}
-			// tx3's frame must not have reached the log at all: replaying the
-			// buffer never yields the value 3.
-			fresh := Open(Options{})
-			if err := fresh.CreateTable(testSchema()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fresh.ReplayWAL(bytes.NewReader(buf.bytes())); err != nil {
-				t.Fatal(err)
-			}
-			if v, _ := fresh.ReadCommitted("Flight", "AZ0", "FreeTickets"); v.Int64() == 3 {
-				t.Fatal("rejected commit reached the WAL")
-			}
-		})
-	}
+		syncsSoFar := buf.syncs.Load()
+		tx3 := db.Begin()
+		if err := tx3.Set(ctx, "Flight", "AZ0", "FreeTickets", sem.Int(3)); err != nil {
+			t.Fatal(err)
+		}
+		err := tx3.Commit(ctx)
+		if !errors.Is(err, ErrWALPoisoned) {
+			t.Fatalf("commit after poisoning = %v, want ErrWALPoisoned", err)
+		}
+		if buf.syncs.Load() != syncsSoFar {
+			t.Fatal("poisoned WAL attempted another sync")
+		}
+		if v, _ := db.ReadCommitted("Flight", "AZ0", "FreeTickets"); v.Int64() != 1 {
+			t.Fatalf("post-poison commit applied: %s", v)
+		}
+		// tx3's frame must not have reached the log at all: replaying the
+		// buffer never yields the value 3.
+		fresh := Open(Options{})
+		if err := fresh.CreateTable(testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.ReplayWAL(bytes.NewReader(buf.bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := fresh.ReadCommitted("Flight", "AZ0", "FreeTickets"); v.Int64() == 3 {
+			t.Fatal("rejected commit reached the WAL")
+		}
+	})
 }
 
 // TestTornFlushRecoverySemantics pins the in-doubt window this PR closes

@@ -51,11 +51,8 @@ type Persistence struct {
 	// and to the storage driver (store_* metrics).
 	Obs *obs.Registry
 
-	// DisableGroupCommit, GroupCommitWindow and SyncDelay are passed to the
-	// recovered DB (see the same fields on Options).
-	DisableGroupCommit bool
-	GroupCommitWindow  time.Duration
-	SyncDelay          time.Duration
+	// SyncDelay is passed to the recovered DB (see Options.SyncDelay).
+	SyncDelay time.Duration
 
 	wal    *os.File
 	driver store.Driver
@@ -96,9 +93,7 @@ func (p *Persistence) Open(schemas []Schema) (*DB, error) {
 		driver.Close()
 		return nil, fmt.Errorf("ldbs: open WAL: %w", err)
 	}
-	db := Open(Options{WAL: walFile, Obs: p.Obs, Store: driver,
-		DisableGroupCommit: p.DisableGroupCommit, GroupCommitWindow: p.GroupCommitWindow,
-		SyncDelay: p.SyncDelay})
+	db := Open(Options{WAL: walFile, Obs: p.Obs, Store: driver, SyncDelay: p.SyncDelay})
 	fail := func(err error) (*DB, error) {
 		walFile.Close()
 		driver.Close()

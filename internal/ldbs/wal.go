@@ -236,9 +236,7 @@ var ErrWALPoisoned = errors.New("ldbs: WAL poisoned by an earlier flush/sync fai
 // mu (per-transaction contiguity in the log), then waits in WaitDurable
 // until a sync covering its commit LSN has completed. The first waiter
 // becomes the leader and pays one Flush+Sync for every transaction that
-// appended before the flush — followers ride along for free. With
-// grouping disabled each commit syncs individually (the seed's
-// one-fsync-per-transaction force policy).
+// appended before the flush — followers ride along for free.
 type wal struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
@@ -246,8 +244,6 @@ type wal struct {
 	lsn     uint64 // records appended
 	commits uint64 // commit frames appended (group-commit accounting)
 
-	grouped   bool          // commits share syncs (set by Open)
-	window    time.Duration // leader accumulation window (0: sync immediately)
 	syncDelay time.Duration // emulated stable-storage latency per sync (see Options.SyncDelay)
 
 	// Coordinator state, guarded by syncMu (never held across I/O).
@@ -410,11 +406,10 @@ func (l *wal) flushAndSync() (coveredLSN, coveredCommits uint64, err error) {
 }
 
 // WaitDurable blocks until a sync covering lsn has completed, electing the
-// calling goroutine leader when no sync is running: the leader (optionally
-// after the accumulation window) flushes and syncs everything buffered so
-// far, releasing itself and every follower whose commit LSN the flush
-// covered. On failure the WAL is poisoned: this commit and every later one
-// reports an error.
+// calling goroutine leader when no sync is running: the leader flushes and
+// syncs everything buffered so far, releasing itself and every follower
+// whose commit LSN the flush covered. On failure the WAL is poisoned: this
+// commit and every later one reports an error.
 func (l *wal) WaitDurable(lsn uint64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -431,9 +426,6 @@ func (l *wal) WaitDurable(lsn uint64) error {
 		}
 		l.syncing = true
 		l.syncMu.Unlock()
-		if l.window > 0 {
-			time.Sleep(l.window) // let more committers append
-		}
 		covered, commits, err := l.flushAndSync()
 		l.syncMu.Lock()
 		l.syncing = false
@@ -453,8 +445,8 @@ func (l *wal) WaitDurable(lsn uint64) error {
 }
 
 // Flush empties the buffer and, when the destination supports it, syncs to
-// stable storage — the per-commit force policy used when group commit is
-// disabled, and by checkpoint/snapshot writers. Fails fast once poisoned.
+// stable storage — used by checkpoint/snapshot writers. Fails fast once
+// poisoned.
 func (l *wal) Flush() error {
 	if err := l.poisoned(); err != nil {
 		return err

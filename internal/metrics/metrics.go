@@ -1,7 +1,6 @@
 // Package metrics provides the small statistics toolkit used by the
-// simulator and the experiment harness: streaming aggregates, fixed-bucket
-// histograms and labeled series formatted as the rows the paper's figures
-// plot.
+// simulator and the experiment harness: streaming aggregates and labeled
+// series formatted as the rows the paper's figures plot.
 package metrics
 
 import (
@@ -86,73 +85,6 @@ func (a *Agg) Max() float64 {
 func (a *Agg) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		a.n, a.Mean(), a.Std(), a.Min(), a.Max())
-}
-
-// Histogram counts samples into equal-width buckets over [lo, hi); samples
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	lo, hi  float64
-	buckets []uint64
-	under   uint64
-	over    uint64
-	n       uint64
-}
-
-// NewHistogram creates a histogram with nb buckets over [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if nb <= 0 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]uint64, nb)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i == len(h.buckets) {
-			i--
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the total sample count.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1) assuming
-// uniform density within buckets; under/overflow map to lo/hi.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := q * float64(h.n)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.lo
-	}
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.hi
 }
 
 // Point is one (x, y) sample of a figure series.

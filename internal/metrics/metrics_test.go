@@ -58,47 +58,6 @@ func TestAggVarianceNeverNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(42) // overflow
-	if h.N() != 12 {
-		t.Errorf("N = %d", h.N())
-	}
-	for i := 0; i < h.NumBuckets(); i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d", i, h.Bucket(i))
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 4 || med > 6 {
-		t.Errorf("median = %g", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Errorf("q0 = %g", q)
-	}
-}
-
-func TestHistogramEdge(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile must be 0")
-	}
-	h.Add(0.9999999) // lands in the last bucket, not out of range
-	if h.Bucket(3) != 1 {
-		t.Errorf("buckets = %v", []uint64{h.Bucket(0), h.Bucket(1), h.Bucket(2), h.Bucket(3)})
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid shape must panic")
-		}
-	}()
-	NewHistogram(1, 0, 4)
-}
-
 func TestSeriesAndTable(t *testing.T) {
 	a := &Series{Name: "2PL"}
 	b := &Series{Name: "GTM"}

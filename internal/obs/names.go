@@ -44,11 +44,12 @@ const (
 	NameMVCCVersionsGCed      = "mvcc_versions_gced_total"
 	NameMVCCGCHorizonLag      = "mvcc_gc_horizon_lag" // gauge: commitSeq − GC horizon
 
-	// Epoch-grouped commit (internal/core). Decided SSTs are batched per
-	// epoch and applied as one store transaction (one 2PL pass, one fsync).
-	NameEpochSeals     = "epoch_seals_total"     // labeled cause="size"|"window"|"close"
-	NameEpochBatchTxs  = "epoch_batch_txs_total" // transactions carried by sealed epochs
-	NameEpochFallbacks = "epoch_fallbacks_total" // batches re-applied one SST at a time
+	// SST batching (internal/core). An executor worker applies everything
+	// queued when it becomes free as one store transaction (one 2PL pass,
+	// one fsync); txs / batches is the mean batch.
+	NameSSTBatches        = "gtm_sst_batches_total"         // groups applied (queue drains and inline SSTs)
+	NameSSTBatchTxs       = "gtm_sst_batch_txs_total"       // transactions carried by those groups
+	NameSSTBatchFallbacks = "gtm_sst_batch_fallbacks_total" // batches re-applied one SST at a time
 
 	// Local database system (internal/ldbs).
 	NameLDBSDeadlocks       = "ldbs_deadlocks_total"

@@ -102,7 +102,6 @@ type ReplicaShard struct {
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> shard.LocalShard.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.monitor.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.Client.mu
-	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.epochBatcher.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.sstExecutor.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.mvccState.snapMu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> ldbs.DB.ckptMu

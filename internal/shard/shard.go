@@ -141,9 +141,8 @@ type LocalConfig struct {
 	Observability *core.Observability
 	// ManagerOpts are extra core.Manager options (executors, policies).
 	ManagerOpts []core.Option
-	// WAL tunes the shard's log durability (group commit, emulated sync
-	// latency). Only the DisableGroupCommit, GroupCommitWindow and
-	// SyncDelay fields are honored; the WAL destination comes from Dir.
+	// WAL carries the shard's emulated sync latency. Only the SyncDelay
+	// field is honored; the WAL destination comes from Dir.
 	WAL ldbs.Options
 }
 
@@ -213,18 +212,13 @@ func (s *LocalShard) start() error {
 	if s.cfg.Dir != "" {
 		pers = &ldbs.Persistence{Dir: s.cfg.Dir, Obs: s.cfg.Obs,
 			Store: s.cfg.Store, PageCacheBytes: s.cfg.PageCacheBytes,
-			DisableGroupCommit: s.cfg.WAL.DisableGroupCommit,
-			GroupCommitWindow:  s.cfg.WAL.GroupCommitWindow,
-			SyncDelay:          s.cfg.WAL.SyncDelay}
+			SyncDelay: s.cfg.WAL.SyncDelay}
 		db, err = pers.Open(schemas)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s.cfg.Index, err)
 		}
 	} else {
-		db = ldbs.Open(ldbs.Options{Obs: s.cfg.Obs,
-			DisableGroupCommit: s.cfg.WAL.DisableGroupCommit,
-			GroupCommitWindow:  s.cfg.WAL.GroupCommitWindow,
-			SyncDelay:          s.cfg.WAL.SyncDelay})
+		db = ldbs.Open(ldbs.Options{Obs: s.cfg.Obs, SyncDelay: s.cfg.WAL.SyncDelay})
 		for _, sc := range schemas {
 			if err := db.CreateTable(sc); err != nil {
 				return fmt.Errorf("shard %d: %w", s.cfg.Index, err)

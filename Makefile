@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race bench bench-e2e bench-shard bench-gateway bench-storage chaos experiments fuzz obs-demo clean
+.PHONY: all build test lint race bench bench-e2e chaos experiments fuzz obs-demo clean
 
 all: build lint test
 
@@ -53,66 +53,6 @@ else
 	@test -n "$(W)" || { echo "usage: make bench-e2e W=<workload> | A=<results.json> B=<results.json>"; exit 2; }
 	bash bench/run.sh --workload $(W) --seed $(SEED) --trace $(TRACE)
 endif
-
-# Single-node vs 4-shard gtmd throughput under gtmload's closed-loop
-# booking bench (see docs/SHARDING.md). Both servers run identical flags:
-# one SST lane per shard and 2ms emulated storage-sync latency, modelling
-# the paper's mobile-class devices — the regime where sharding multiplies
-# the commit-application lanes. Override via BENCH_SHARD_FLAGS / WORKERS /
-# DURATION.
-BENCH_SHARD_FLAGS ?= -sst-workers 1 -wal-sync-delay 2ms -seats 1000000000
-BENCH_SHARD_WORKERS ?= 32
-BENCH_SHARD_DURATION ?= 6s
-bench-shard:
-	@$(GO) build -o /tmp/gtmd-bench ./cmd/gtmd
-	@$(GO) build -o /tmp/gtmload-bench ./cmd/gtmload
-	@rm -rf /tmp/bench-shard-1 /tmp/bench-shard-4
-	@/tmp/gtmd-bench -addr 127.0.0.1:7761 -data /tmp/bench-shard-1 $(BENCH_SHARD_FLAGS) & \
-	p1=$$!; \
-	/tmp/gtmd-bench -addr 127.0.0.1:7764 -shards 4 -data /tmp/bench-shard-4 $(BENCH_SHARD_FLAGS) & \
-	p4=$$!; \
-	trap "kill $$p1 $$p4 2>/dev/null" EXIT; \
-	sleep 1; \
-	echo "--- single node ---"; \
-	/tmp/gtmload-bench -addr 127.0.0.1:7761 -bench -workers $(BENCH_SHARD_WORKERS) -duration $(BENCH_SHARD_DURATION) | tee /tmp/bench-shard-1.out; \
-	echo "--- 4 shards ---"; \
-	/tmp/gtmload-bench -addr 127.0.0.1:7764 -bench -workers $(BENCH_SHARD_WORKERS) -duration $(BENCH_SHARD_DURATION) | tee /tmp/bench-shard-4.out; \
-	s=$$(awk '/^throughput/{print $$2}' /tmp/bench-shard-1.out); \
-	c=$$(awk '/^throughput/{print $$2}' /tmp/bench-shard-4.out); \
-	awk -v s=$$s -v c=$$c 'BEGIN{printf "--- 4-shard speedup: %.2fx (%.0f vs %.0f tx/s)\n", c/s, c, s}'
-
-# Gateway swarm smoke: a small fleet of mostly-parked sessions multiplexed
-# over a handful of connections against gtmd -gateway. Asserts that parked
-# sessions stay under the per-client byte budget (the gauge the capacity
-# plan in docs/GATEWAY.md is built on) and that the JSON report has the
-# BENCH_gateway.json shape. The full 100k-client run behind the committed
-# BENCH_gateway.json uses the same command with CLIENTS=100000 DURATION=15s.
-BENCH_GW_CLIENTS ?= 5000
-BENCH_GW_CONNS ?= 4
-BENCH_GW_DURATION ?= 4s
-BENCH_GW_BUDGET ?= 512
-bench-gateway:
-	@$(GO) build -o /tmp/gtmd-bench ./cmd/gtmd
-	@$(GO) build -o /tmp/gtmload-bench ./cmd/gtmload
-	@/tmp/gtmd-bench -addr 127.0.0.1:7771 -http 127.0.0.1:7772 -gateway -seats 100000000 & \
-	pid=$$!; \
-	trap "kill $$pid 2>/dev/null" EXIT; \
-	sleep 1; \
-	/tmp/gtmload-bench -addr 127.0.0.1:7771 -swarm \
-		-clients $(BENCH_GW_CLIENTS) -conns $(BENCH_GW_CONNS) \
-		-park-min 500ms -duration $(BENCH_GW_DURATION) \
-		-budget-bytes $(BENCH_GW_BUDGET) -json /tmp/bench-gateway.json; \
-	grep -q '"bench": "gateway-swarm"' /tmp/bench-gateway.json && \
-	grep -q '"bytes_per_parked_session"' /tmp/bench-gateway.json && \
-	echo "--- report shape ok: /tmp/bench-gateway.json"
-
-# Storage-engine bench (docs/STORAGE.md): mem vs disk at page-cache
-# budgets of 100%/50%/10% of the measured working set, each with and
-# without a WAL sync delay; tx/s and p50/p99 commit latency per leg.
-# Regenerates BENCH_storage.json, the committed snapshot.
-BENCH_STORAGE_N ?= 2000
-bench-storage:
-	$(GO) run ./cmd/experiments -run storage -n $(BENCH_STORAGE_N) -json BENCH_storage.json
 
 # Fault-injection soak: booking workload through a flaky proxy across two
 # server crash-restarts, seat-conservation oracle, race detector on

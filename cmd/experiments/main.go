@@ -13,7 +13,6 @@
 //	experiments -run itinerary # multi-object package tours (Section II) GTM vs 2PL
 //	experiments -run modelcheck # Eq. 5's predicted speed-up vs the emulation's
 //	experiments -run starvation # §VII starvation control under a hostile mix
-//	experiments -run storage  # storage engines: mem vs disk under page-cache pressure
 //	experiments -run all      # everything (default)
 //
 // Use -n to scale the emulated population (default 1000, the paper's size)
@@ -40,11 +39,10 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: all, tableI, tableII, fig1, fig2, fig3a, fig3b, ablation, classes, sensitivity, itinerary, modelcheck, starvation, storage")
-	n := flag.Int("n", 1000, "emulated transaction population (fig3*, ablation); committed transactions per configuration (storage)")
+	run := flag.String("run", "all", "experiment to run: all, tableI, tableII, fig1, fig2, fig3a, fig3b, ablation, classes, sensitivity, itinerary, modelcheck, starvation")
+	n := flag.Int("n", 1000, "emulated transaction population (fig3*, ablation)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.StringVar(&csvDir, "csv", "", "also write figure data as CSV files into this directory")
-	flag.StringVar(&jsonPath, "json", "", "write the storage benchmark report as JSON to this file")
 	flag.Parse()
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
@@ -66,9 +64,8 @@ func main() {
 		"itinerary":   itinerary,
 		"modelcheck":  modelcheck,
 		"starvation":  starvation,
-		"storage":     storageBench,
 	}
-	order := []string{"tableI", "tableII", "fig1", "fig2", "fig3a", "fig3b", "ablation", "classes", "sensitivity", "itinerary", "modelcheck", "starvation", "storage"}
+	order := []string{"tableI", "tableII", "fig1", "fig2", "fig3a", "fig3b", "ablation", "classes", "sensitivity", "itinerary", "modelcheck", "starvation"}
 
 	names := order
 	if *run != "all" {
@@ -92,9 +89,6 @@ func header(title string) {
 
 // csvDir, when set via -csv, receives one CSV file per figure.
 var csvDir string
-
-// jsonPath, when set via -json, receives the storage benchmark report.
-var jsonPath string
 
 // writeCSV dumps rows (first row = header) to <csvDir>/<name>.csv.
 func writeCSV(name string, rows [][]string) {

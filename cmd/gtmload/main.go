@@ -5,11 +5,10 @@
 // assigning (1−α) on the demo flights, with disconnection probability β —
 // a disconnection is a real dropped TCP connection, after which the client
 // reconnects, attaches and awakens its transaction. It prints the same two
-// quantities as Fig. 3: mean execution time and abort percentage. By
-// default clients are wire.ResilientConn (deadlines, reconnect with
-// backoff, exactly-once retries); -resilient=false drives the legacy v1
-// attach/awake flow by hand. Client-side wire_* counters (reconnects,
-// retries) are printed after the run.
+// quantities as Fig. 3: mean execution time and abort percentage. Clients
+// are wire.ResilientConn (deadlines, reconnect with backoff, exactly-once
+// retries). Client-side wire_* counters (reconnects, retries) are printed
+// after the run.
 //
 //	gtmd -addr 127.0.0.1:7654 &
 //	gtmload -addr 127.0.0.1:7654 -n 100 -alpha 0.8 -beta 0.1 -interarrival 20ms
@@ -28,10 +27,10 @@
 // execute due wake-ups from an event heap. The run reports throughput and
 // the parked-session byte cost (from the server's gw_* gauges), optionally
 // enforces -budget-bytes per parked session, and writes a JSON report with
-// -json (see BENCH_gateway.json and docs/GATEWAY.md).
+// -json (see docs/GATEWAY.md).
 //
 //	gtmd -addr 127.0.0.1:7654 -gateway -seats 1000000 &
-//	gtmload -addr 127.0.0.1:7654 -swarm -clients 100000 -conns 8 -duration 10s -json BENCH_gateway.json
+//	gtmload -addr 127.0.0.1:7654 -swarm -clients 100000 -conns 8 -duration 10s -json swarm.json
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 	discFor := flag.Duration("disconnect-for", 150*time.Millisecond, "mean disconnection duration")
 	objects := flag.Int("objects", 4, "number of demo flights to target (Flight/AZ0..)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	resilient := flag.Bool("resilient", true, "use the disconnection-tolerant client (deadlines, reconnects, exactly-once retries); false drives the legacy v1 flow")
 	callTO := flag.Duration("call-timeout", wire.DefaultCallTimeout, "per-call deadline for the resilient client")
 	bench := flag.Bool("bench", false, "throughput mode: closed-loop workers hammering single-object bookings across every demo resource, no think time; prints tx/s")
 	workers := flag.Int("workers", 32, "concurrent workers in -bench mode")
@@ -133,12 +131,7 @@ func main() {
 			defer wg.Done()
 			time.Sleep(time.Until(start.Add(spec.Arrival)))
 			t0 := time.Now()
-			var err error
-			if *resilient {
-				err = runResilient(*addr, spec, clientReg, *callTO)
-			} else {
-				err = runClient(*addr, spec)
-			}
+			err := runResilient(*addr, spec, clientReg, *callTO)
 			d := time.Since(t0)
 			mu.Lock()
 			defer mu.Unlock()
@@ -164,9 +157,7 @@ func main() {
 	for r, c := range reasons {
 		fmt.Printf("  abort reason %q: %d\n", r, c)
 	}
-	if *resilient {
-		printClientMetrics(clientReg)
-	}
+	printClientMetrics(clientReg)
 	printServerMetrics(*addr)
 }
 
@@ -186,8 +177,7 @@ func benchObjects() []string {
 }
 
 // runBench drives closed-loop single-object bookings from `workers`
-// concurrent connections for `duration` and prints throughput — the number
-// `make bench-shard` compares between single-node and sharded gtmd. Run the
+// concurrent connections for `duration` and prints throughput. Run the
 // server with enough -seats that the non-negativity constraint never trips.
 func runBench(addr string, workers int, duration time.Duration) {
 	objs := benchObjects()
@@ -332,73 +322,4 @@ func runResilient(addr string, spec workload.Spec, reg *obs.Registry, callTO tim
 	time.Sleep(spec.DisconnectFor)
 	time.Sleep(spec.Exec - spec.DisconnectAt)
 	return rc.Commit(spec.ID)
-}
-
-// runClient executes one workload transaction against the server,
-// physically dropping the connection for disconnected specs.
-func runClient(addr string, spec workload.Spec) error {
-	obj := fmt.Sprintf("Flight/AZ%d", spec.Object)
-	cn, err := wire.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cn != nil {
-			cn.Close()
-		}
-	}()
-	if err := cn.Begin(spec.ID); err != nil {
-		return err
-	}
-	if err := cn.Invoke(spec.ID, obj, spec.Kind.Class(), ""); err != nil {
-		return err
-	}
-	if err := cn.Apply(spec.ID, obj, spec.Operand); err != nil {
-		return err
-	}
-	if !spec.Disconnects {
-		time.Sleep(spec.Exec)
-		return cn.Commit(spec.ID)
-	}
-
-	// Think until the network "fails": drop the TCP connection for real.
-	time.Sleep(spec.DisconnectAt)
-	cn.Close()
-	cn = nil
-	time.Sleep(spec.DisconnectFor)
-
-	// Reconnect, attach, awake. The server may still be tearing down the
-	// old connection (which is what puts the transaction to sleep), so
-	// poll briefly until the state flips.
-	cn2, err := wire.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cn2.Close()
-	if err := cn2.Attach(spec.ID); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := cn2.State(spec.ID)
-		if err != nil {
-			return err
-		}
-		if st == "Sleeping" {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transaction stuck in %s after reconnect", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	resumed, err := cn2.Awake(spec.ID)
-	if err != nil {
-		return err
-	}
-	if !resumed {
-		return fmt.Errorf("aborted: sleep-conflict")
-	}
-	time.Sleep(spec.Exec - spec.DisconnectAt)
-	return cn2.Commit(spec.ID)
 }

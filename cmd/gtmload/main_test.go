@@ -75,6 +75,33 @@ func TestGTMLoadAgainstLiveServer(t *testing.T) {
 	}
 }
 
+// TestGTMLoadRemovedFlagsStayRemoved: the hand-rolled attach/awake client
+// behind -resilient=false is gone, so the flag is rejected by the flag
+// package rather than silently ignored.
+func TestGTMLoadRemovedFlagsStayRemoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "gtmload")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-resilient=false"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("gtmload %v: err = %v, want exit status 2\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), "flag provided but not defined") {
+				t.Fatalf("gtmload %v printed %q, want the flag package's rejection", args, out)
+			}
+		})
+	}
+}
+
 func findLine(text, prefix string) string {
 	for _, ln := range strings.Split(text, "\n") {
 		if strings.HasPrefix(ln, prefix) {

@@ -35,9 +35,7 @@ type swarmConfig struct {
 	jsonPath  string
 }
 
-// swarmReport is the BENCH_gateway.json shape — the first entry of the
-// perf-trajectory series. cmd/gtmload's tests validate the committed file
-// against this struct, so the shape cannot drift silently.
+// swarmReport is what a swarm run prints and, with -json, writes.
 type swarmReport struct {
 	Bench       string  `json:"bench"` // always "gateway-swarm"
 	Clients     int     `json:"clients"`

@@ -1,53 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"container/heap"
-	"encoding/json"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 )
-
-// TestBenchGatewayJSONShape pins the committed BENCH_gateway.json to the
-// swarmReport schema: required fields present and plausible, so the file
-// cannot rot as the swarm code evolves. (Test working directory is the
-// package directory; the report lives at the repo root.)
-func TestBenchGatewayJSONShape(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_gateway.json")
-	if err != nil {
-		t.Fatalf("read BENCH_gateway.json: %v", err)
-	}
-	var rep swarmReport
-	dec := json.NewDecoder(bytes.NewReader(buf))
-	dec.DisallowUnknownFields() // schema drift must update swarmReport too
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("BENCH_gateway.json does not match swarmReport: %v", err)
-	}
-	if rep.Bench != "gateway-swarm" {
-		t.Errorf("bench = %q, want gateway-swarm", rep.Bench)
-	}
-	if rep.Clients < 100000 {
-		t.Errorf("clients = %d; acceptance requires a 100k+ swarm", rep.Clients)
-	}
-	if rep.Conns <= 0 || rep.Conns >= rep.Clients {
-		t.Errorf("conns = %d: the point is multiplexing, want 0 < conns << clients", rep.Conns)
-	}
-	if rep.DurationSec <= 0 || rep.RampSec <= 0 {
-		t.Errorf("durations must be positive: duration=%v ramp=%v", rep.DurationSec, rep.RampSec)
-	}
-	if rep.Committed <= 0 || rep.ThroughputTxS <= 0 {
-		t.Errorf("no committed work recorded: committed=%d tx/s=%v", rep.Committed, rep.ThroughputTxS)
-	}
-	if rep.ParkedSessions <= 0 || rep.ParkedBytes <= 0 {
-		t.Errorf("parked gauges missing: sessions=%d bytes=%d", rep.ParkedSessions, rep.ParkedBytes)
-	}
-	if rep.BytesPerParkedSession <= 0 || rep.BytesPerParkedSession > 4096 {
-		t.Errorf("bytes/parked session = %v, want (0, 4096]: parked clients must cost bytes, not buffers",
-			rep.BytesPerParkedSession)
-	}
-}
 
 // TestParetoSamples checks the heavy-tail sampler's bounds: never below the
 // minimum, capped at 1000×, and with a mean near xm·α/(α−1).

@@ -30,10 +30,10 @@ type Wall struct{}
 // Now returns time.Now().
 func (Wall) Now() time.Time { return time.Now() }
 
-// Sleep pauses the calling goroutine for d of real time. Components that
-// must stay simulation-deterministic (gtmlint/clockinject) take a sleep
-// function and default it to Wall.Sleep; simulations inject a no-op or a
-// virtual wait instead.
+// Sleep pauses the calling goroutine for d of real time. Packages that
+// must stay simulation-deterministic (gtmlint/clockinject) call it instead
+// of time.Sleep, so every real-time wait in them is named as one (the
+// GTM's SST retry backoff, zero unless a backoff base is configured).
 func (Wall) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Every runs fn every interval of real time until ctx is cancelled. It is

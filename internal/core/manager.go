@@ -125,9 +125,6 @@ func NewManager(store Store, opt ...Option) *Manager {
 	if m.opts.clk != nil {
 		m.clk = m.opts.clk
 	}
-	if m.opts.sleep == nil {
-		m.opts.sleep = clock.Wall{}.Sleep
-	}
 	m.obs = m.opts.obs
 	if m.opts.sstWorkers > 0 {
 		var gauge *atomic.Int64
@@ -632,7 +629,7 @@ func (m *Manager) runSST(writes []SSTWrite) error {
 				m.obs.sstRetries.Inc()
 			}
 			if d := sstBackoff(m.opts.sstBackoffBase, m.opts.sstBackoffCap, attempt); d > 0 {
-				m.opts.sleep(d)
+				clock.Wall{}.Sleep(d)
 			}
 		}
 		err = m.store.ApplySST(writes)

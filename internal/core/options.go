@@ -30,7 +30,6 @@ type options struct {
 	sstQueueDepth         int
 	sstBackoffBase        time.Duration
 	sstBackoffCap         time.Duration
-	sleep                 func(time.Duration)
 	obs                   *Observability
 }
 
@@ -154,14 +153,6 @@ func WithSSTBackoff(base, cap time.Duration) Option {
 		o.sstBackoffBase = base
 		o.sstBackoffCap = cap
 	}
-}
-
-// WithSleepFunc replaces the real-time sleep used between SST retry
-// attempts (default clock.Wall.Sleep). Simulations and tests inject a no-op
-// or a virtual wait so retry backoff cannot stall a deterministic run on
-// the wall clock.
-func WithSleepFunc(fn func(time.Duration)) Option {
-	return func(o *options) { o.sleep = fn }
 }
 
 // WithConflictFunc replaces the compatibility test. Used by the

@@ -56,7 +56,6 @@ type Options struct {
 	// Engine knobs, same semantics as wire.ServerOptions.
 	InvokeTimeout time.Duration
 	Retention     time.Duration
-	DedupWindow   int
 
 	// Lanes is the number of dispatch lanes; requests route to a lane by
 	// the owning shard (sharded backends) or by transaction-id hash.
@@ -79,11 +78,6 @@ type Options struct {
 	// TenantRate/TenantBurst is the per-tenant bucket, charged alongside
 	// the global one. TenantRate zero: no per-tenant limiting.
 	TenantRate, TenantBurst float64
-
-	// RetryAfter is the base backoff hint on rejections that have no
-	// natural refill time (full lane, session cap). Zero means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 
 	// SessionRetention reaps parked sessions idle longer than this.
 	// Zero means DefaultSessionRetention; negative retains forever.
@@ -153,9 +147,6 @@ func NewServer(b wire.Backend, opts Options) *Server {
 	if opts.LaneWorkers <= 0 {
 		opts.LaneWorkers = DefaultLaneWorkers
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = DefaultRetryAfter
-	}
 	if opts.SessionRetention == 0 {
 		opts.SessionRetention = DefaultSessionRetention
 	}
@@ -167,7 +158,6 @@ func NewServer(b wire.Backend, opts Options) *Server {
 			Logger:        lg,
 			InvokeTimeout: opts.InvokeTimeout,
 			Retention:     opts.Retention,
-			DedupWindow:   opts.DedupWindow,
 			Obs:           opts.Obs,
 		}),
 		log:      lg,
@@ -461,7 +451,7 @@ func (s *Server) dispatchSession(c *gwConn, req *wire.Request) {
 // rejected builds one backpressure rejection and counts it.
 func (s *Server) rejected(reason string, wait time.Duration, req *wire.Request) *wire.Response {
 	if wait <= 0 {
-		wait = s.opts.RetryAfter
+		wait = DefaultRetryAfter
 	}
 	if wait > maxRetryAfterHint {
 		wait = maxRetryAfterHint

@@ -299,7 +299,7 @@ func TestDetachParksAndResume(t *testing.T) {
 	if !resumed || len(owned) != 1 || owned[0] != "trip" {
 		t.Fatalf("resume: resumed=%v owned=%v", resumed, owned)
 	}
-	sc2 := &SessionClient{m: mc2, id: "mob", seqs: map[string]uint64{"trip": seq}}
+	sc2 := newSessionClient(mc2, "mob", map[string]uint64{"trip": seq})
 	if ok, err := sc2.Awake("trip"); err != nil || !ok {
 		t.Fatalf("awake: %v, %v", ok, err)
 	}
@@ -387,7 +387,7 @@ func TestAwakenRacesDetach(t *testing.T) {
 
 		// The session must be bound to mc2 now; the transaction must still
 		// exist, asleep or live, and must be drivable to completion.
-		sc2 := &SessionClient{m: mc2, id: sid, seqs: map[string]uint64{tx: sc.Seq(tx)}}
+		sc2 := newSessionClient(mc2, sid, map[string]uint64{tx: sc.Seq(tx)})
 		st, err := sc2.State(tx)
 		if err != nil {
 			t.Fatalf("round %d: state: %v (owned=%v)", round, err, owned)
@@ -460,7 +460,7 @@ func TestReplayAcrossGatewayReconnectExactlyOnce(t *testing.T) {
 	if err != nil || !resumed {
 		t.Fatalf("resume: %v, resumed=%v", err, resumed)
 	}
-	if st, err := (&SessionClient{m: mc2, id: "flaky", seqs: map[string]uint64{}}).State("book"); err != nil {
+	if st, err := newSessionClient(mc2, "flaky", map[string]uint64{}).State("book"); err != nil {
 		t.Fatal(err)
 	} else if st == "Sleeping" {
 		resp, err := mc2.Call(&wire.Request{Op: wire.OpAwake, Tx: "book", Session: "flaky", Seq: applySeq + 1})

@@ -1,14 +1,12 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"preserial/internal/sem"
 	"preserial/internal/wire"
 )
 
@@ -136,13 +134,7 @@ func (m *MuxConn) Call(req *wire.Request) (*wire.Response, error) {
 			}
 			return nil, fmt.Errorf("%w: %v", wire.ErrPeerClosed, err)
 		}
-		if !resp.OK {
-			if ra := wire.AsRetryAfter(resp); ra != nil {
-				return resp, ra
-			}
-			return resp, errors.New(resp.Err)
-		}
-		return resp, nil
+		return resp, wire.AsError(resp)
 	case <-timeoutC:
 		m.mu.Lock()
 		delete(m.calls, id) // a late response for this id is dropped
@@ -175,21 +167,30 @@ func (m *MuxConn) Session(id, tenant string) (*SessionClient, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return &SessionClient{m: m, id: id, seqs: make(map[string]uint64)}, resumed, nil
+	return newSessionClient(m, id, make(map[string]uint64)), resumed, nil
 }
 
-// SessionClient is the typed per-session API over a MuxConn — the mux
-// analogue of wire.Conn. It stamps each request with its session and
-// assigns per-transaction sequence numbers so mutating requests are
-// protected by the server's exactly-once window. Safe for concurrent use,
-// though per-transaction ordering is only meaningful when each transaction
-// is driven by one goroutine at a time.
+// SessionClient is one logical session over a MuxConn. It carries the
+// protocol's typed calls (wire.Calls) over a round trip that stamps each
+// request with its session and assigns per-transaction sequence numbers,
+// so mutating requests are protected by the server's exactly-once window.
+// Safe for concurrent use, though per-transaction ordering is only
+// meaningful when each transaction is driven by one goroutine at a time.
 type SessionClient struct {
+	wire.Calls
 	m  *MuxConn
 	id string
 
 	mu   sync.Mutex
 	seqs map[string]uint64 // next seq per transaction
+}
+
+// newSessionClient binds session id on m, resuming the given sequence
+// counters.
+func newSessionClient(m *MuxConn, id string, seqs map[string]uint64) *SessionClient {
+	s := &SessionClient{m: m, id: id, seqs: seqs}
+	s.Calls = s.call
+	return s
 }
 
 // ID returns the logical session id.
@@ -221,79 +222,4 @@ func (s *SessionClient) SetSeq(tx string, seq uint64) {
 	s.mu.Lock()
 	s.seqs[tx] = seq
 	s.mu.Unlock()
-}
-
-// Begin starts a transaction owned by this session.
-func (s *SessionClient) Begin(tx string) error {
-	_, err := s.call(&wire.Request{Op: wire.OpBegin, Tx: tx})
-	return err
-}
-
-// Attach adopts an existing transaction into this session.
-func (s *SessionClient) Attach(tx string) error {
-	_, err := s.call(&wire.Request{Op: wire.OpAttach, Tx: tx})
-	return err
-}
-
-// Invoke requests an operation class on an object, blocking until granted.
-func (s *SessionClient) Invoke(tx, object string, class sem.Class, member string) error {
-	_, err := s.call(&wire.Request{Op: wire.OpInvoke, Tx: tx, Object: object,
-		Class: wire.ClassName(class), Member: member})
-	return err
-}
-
-// Read returns the transaction's virtual value of the object.
-func (s *SessionClient) Read(tx, object string) (sem.Value, error) {
-	resp, err := s.call(&wire.Request{Op: wire.OpRead, Tx: tx, Object: object})
-	if err != nil {
-		return sem.Value{}, err
-	}
-	if resp.Value == nil {
-		return sem.Value{}, errors.New("gateway: read returned no value")
-	}
-	return resp.Value.ToSem()
-}
-
-// Apply performs one operation of the invoked class on the virtual copy.
-func (s *SessionClient) Apply(tx, object string, operand sem.Value) error {
-	wv := wire.FromSem(operand)
-	_, err := s.call(&wire.Request{Op: wire.OpApply, Tx: tx, Object: object, Operand: &wv})
-	return err
-}
-
-// Commit runs the two-phase commit and blocks until the SST finishes.
-func (s *SessionClient) Commit(tx string) error {
-	_, err := s.call(&wire.Request{Op: wire.OpCommit, Tx: tx})
-	return err
-}
-
-// Abort aborts the transaction.
-func (s *SessionClient) Abort(tx string) error {
-	_, err := s.call(&wire.Request{Op: wire.OpAbort, Tx: tx})
-	return err
-}
-
-// Sleep parks the transaction explicitly.
-func (s *SessionClient) Sleep(tx string) error {
-	_, err := s.call(&wire.Request{Op: wire.OpSleep, Tx: tx})
-	return err
-}
-
-// Awake resumes a sleeping transaction; resumed=false means the GTM
-// aborted it because an incompatible operation intervened.
-func (s *SessionClient) Awake(tx string) (resumed bool, err error) {
-	resp, err := s.call(&wire.Request{Op: wire.OpAwake, Tx: tx})
-	if err != nil {
-		return false, err
-	}
-	return resp.Resumed, nil
-}
-
-// State returns the transaction's state name.
-func (s *SessionClient) State(tx string) (string, error) {
-	resp, err := s.call(&wire.Request{Op: wire.OpState, Tx: tx})
-	if err != nil {
-		return "", err
-	}
-	return resp.State, nil
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -117,6 +118,45 @@ func TestParkedBytesExactAcrossOwnedSetChange(t *testing.T) {
 	}
 	if got := s.ParkedBytes(); got != 0 {
 		t.Fatalf("parked bytes drifted to %d after reap with a pruned owned set", got)
+	}
+}
+
+// TestParkedSessionByteBudget parks N sessions, each owning one live
+// transaction (asleep once parked), with the ids and tenants a gtmload
+// -swarm fleet uses, and holds the parked footprint to 512 bytes per
+// session: the budget docs/GATEWAY.md's capacity plan is built on.
+func TestParkedSessionByteBudget(t *testing.T) {
+	s, _ := newClockedGateway(t)
+	c := testConn(t, s)
+	const n = 1000
+	const budget = 512
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("swarm-%d", i)
+		resp := s.attach(c, &wire.Request{Op: wire.OpGwAttach, Session: id, Tenant: fmt.Sprintf("tenant-%d", i%4)})
+		if !resp.OK {
+			t.Fatalf("attach %q: %s", id, resp.Err)
+		}
+		s.mu.Lock()
+		sess := s.sessions[id]
+		s.mu.Unlock()
+		tx := fmt.Sprintf("sw%d-1", i)
+		if resp := s.e.Serve(&wire.Request{Op: wire.OpBegin, Tx: tx, Seq: 1}, sess.owner); !resp.OK {
+			t.Fatalf("begin %s: %s", tx, resp.Err)
+		}
+		s.detach(c, &wire.Request{Op: wire.OpGwDetach, Session: id})
+	}
+	if _, parked := s.SessionCounts(); parked != n {
+		t.Fatalf("parked sessions = %d, want %d", parked, n)
+	}
+	if st, err := s.e.Backend().TxState("sw0-1"); err != nil || st != core.StateSleeping {
+		t.Fatalf("parked session's transaction is %v (%v), want Sleeping", st, err)
+	}
+	per := s.ParkedBytes() / n
+	if per <= sessionBaseBytes+ownedEntryBytes {
+		t.Fatalf("%d bytes per parked session leave out the owned transaction", per)
+	}
+	if per > budget {
+		t.Fatalf("%d bytes per parked session, budget %d", per, budget)
 	}
 }
 

@@ -59,9 +59,6 @@ const (
 	NameWALFsyncSeconds     = "ldbs_wal_fsync_seconds"
 	NameWALRecords          = "ldbs_wal_records_total"
 	NameWALGroupCommitBatch = "ldbs_group_commit_batch_size"
-	NameLDBSSnapshotsOpened = "ldbs_snapshots_opened_total"
-	NameLDBSSnapshotReads   = "ldbs_snapshot_reads_total"
-	NameLDBSRowVersionsGCed = "ldbs_row_versions_gced_total"
 
 	// Wire layer (internal/wire).
 	NameWireConnections       = "wire_connections_total"

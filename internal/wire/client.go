@@ -30,10 +30,21 @@ var (
 	ErrBrokenConn = errors.New("wire: connection broken by earlier call failure")
 )
 
+// Calls is the protocol's typed call surface, written once over a round
+// trip. The three clients embed it and differ only in the round trip they
+// supply: Conn makes one synchronous exchange on its TCP connection,
+// ResilientConn reconnects, re-attaches and retries around that exchange,
+// and the gateway's SessionClient stamps a session and sequence number onto
+// a multiplexed connection. A round trip returns the response together
+// with its error (see AsError) for an application-level refusal, and a nil
+// response for a transport failure.
+type Calls func(*Request) (*Response, error)
+
 // Conn is the client side of the middleware protocol: a synchronous RPC
 // handle over one TCP connection. Not safe for concurrent use; open one
 // Conn per concurrent client.
 type Conn struct {
+	Calls
 	c       net.Conn
 	timeout time.Duration
 	broken  bool
@@ -52,7 +63,9 @@ func DialTimeout(addr string, dialTimeout, callTimeout time.Duration) (*Conn, er
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{c: c, timeout: callTimeout}, nil
+	cn := &Conn{c: c, timeout: callTimeout}
+	cn.Calls = cn.call
+	return cn, nil
 }
 
 // SetCallTimeout changes the per-call deadline (zero: wait forever).
@@ -81,13 +94,7 @@ func (cn *Conn) call(req *Request) (*Response, error) {
 		cn.broken = true
 		return nil, classify(err)
 	}
-	if !resp.OK {
-		if ra := AsRetryAfter(&resp); ra != nil {
-			return &resp, ra
-		}
-		return &resp, errors.New(resp.Err)
-	}
-	return &resp, nil
+	return &resp, AsError(&resp)
 }
 
 // classify distinguishes the two transport failure modes a caller handles
@@ -106,92 +113,75 @@ func classify(err error) error {
 	return err
 }
 
-// Ping checks liveness.
-func (cn *Conn) Ping() error {
-	_, err := cn.call(&Request{Op: OpPing})
+// do round-trips a request whose response carries nothing but success.
+func (c Calls) do(req *Request) error {
+	_, err := c(req)
 	return err
 }
 
-// Begin starts a transaction owned by this connection.
-func (cn *Conn) Begin(tx string) error {
-	_, err := cn.call(&Request{Op: OpBegin, Tx: tx})
-	return err
+// value decodes the value a read response carries.
+func value(resp *Response, err error) (sem.Value, error) {
+	if err != nil {
+		return sem.Value{}, err
+	}
+	if resp.Value == nil {
+		return sem.Value{}, errors.New("wire: read returned no value")
+	}
+	return resp.Value.ToSem()
 }
+
+// Ping checks liveness.
+func (c Calls) Ping() error { return c.do(&Request{Op: OpPing}) }
+
+// Begin starts a transaction owned by this client.
+func (c Calls) Begin(tx string) error { return c.do(&Request{Op: OpBegin, Tx: tx}) }
 
 // BeginReadOnly starts a read-only snapshot transaction: reads are served
 // lock- and monitor-free from the server's committed version chains, pinned
 // at begin time. Only read-class invokes are accepted; Commit and Abort
 // both just release the snapshot.
-func (cn *Conn) BeginReadOnly(tx string) error {
-	_, err := cn.call(&Request{Op: OpBegin, Tx: tx, ReadOnly: true})
-	return err
+func (c Calls) BeginReadOnly(tx string) error {
+	return c.do(&Request{Op: OpBegin, Tx: tx, ReadOnly: true})
 }
 
 // Attach adopts an existing transaction (e.g. one that went to sleep when
 // a previous connection dropped).
-func (cn *Conn) Attach(tx string) error {
-	_, err := cn.call(&Request{Op: OpAttach, Tx: tx})
-	return err
-}
+func (c Calls) Attach(tx string) error { return c.do(&Request{Op: OpAttach, Tx: tx}) }
 
 // Invoke requests an operation class on an object, blocking until granted.
-func (cn *Conn) Invoke(tx, object string, class sem.Class, member string) error {
-	_, err := cn.call(&Request{
-		Op: OpInvoke, Tx: tx, Object: object, Class: ClassName(class), Member: member,
-	})
-	return err
+func (c Calls) Invoke(tx, object string, class sem.Class, member string) error {
+	return c.do(&Request{Op: OpInvoke, Tx: tx, Object: object, Class: ClassName(class), Member: member})
 }
 
 // Read returns the transaction's virtual value of the object.
-func (cn *Conn) Read(tx, object string) (sem.Value, error) {
-	resp, err := cn.call(&Request{Op: OpRead, Tx: tx, Object: object})
-	if err != nil {
-		return sem.Value{}, err
-	}
-	if resp.Value == nil {
-		return sem.Value{}, fmt.Errorf("wire: read returned no value")
-	}
-	return resp.Value.ToSem()
+func (c Calls) Read(tx, object string) (sem.Value, error) {
+	return value(c(&Request{Op: OpRead, Tx: tx, Object: object}))
 }
 
 // SnapshotRead performs a one-shot monitor-free snapshot read: the server
 // pins the committed state, reads the member, and releases the pin, all in
 // one round trip — no transaction, no invoke, no lock.
-func (cn *Conn) SnapshotRead(object, member string) (sem.Value, error) {
-	resp, err := cn.call(&Request{Op: OpRead, Object: object, Member: member, ReadOnly: true})
-	if err != nil {
-		return sem.Value{}, err
-	}
-	if resp.Value == nil {
-		return sem.Value{}, fmt.Errorf("wire: read returned no value")
-	}
-	return resp.Value.ToSem()
+func (c Calls) SnapshotRead(object, member string) (sem.Value, error) {
+	return value(c(&Request{Op: OpRead, Object: object, Member: member, ReadOnly: true}))
 }
 
 // Apply performs one operation of the invoked class on the virtual copy.
-func (cn *Conn) Apply(tx, object string, operand sem.Value) error {
+func (c Calls) Apply(tx, object string, operand sem.Value) error {
 	wv := FromSem(operand)
-	_, err := cn.call(&Request{Op: OpApply, Tx: tx, Object: object, Operand: &wv})
-	return err
+	return c.do(&Request{Op: OpApply, Tx: tx, Object: object, Operand: &wv})
 }
 
 // Commit runs the two-phase commit and blocks until the SST finishes.
-func (cn *Conn) Commit(tx string) error {
-	_, err := cn.call(&Request{Op: OpCommit, Tx: tx})
-	return err
-}
+func (c Calls) Commit(tx string) error { return c.do(&Request{Op: OpCommit, Tx: tx}) }
 
 // Abort aborts the transaction.
-func (cn *Conn) Abort(tx string) error {
-	_, err := cn.call(&Request{Op: OpAbort, Tx: tx})
-	return err
-}
+func (c Calls) Abort(tx string) error { return c.do(&Request{Op: OpAbort, Tx: tx}) }
 
 // Prepare runs 2PC phase 1 on the transaction: the server stages the SST
 // write set, the transaction goes in doubt, and the staged writes come
 // back for the coordinator to log. Settle with Decide.
-func (cn *Conn) Prepare(tx string) ([]SSTWriteJSON, error) {
-	resp, err := cn.call(&Request{Op: OpPrepare, Tx: tx})
+func (c Calls) Prepare(tx string) ([]SSTWriteJSON, error) {
+	resp, err := c(&Request{Op: OpPrepare, Tx: tx})
 	if err != nil {
 		return nil, err
 	}
@@ -200,16 +190,15 @@ func (cn *Conn) Prepare(tx string) ([]SSTWriteJSON, error) {
 
 // Decide settles a prepared transaction (2PC phase 2). extra writes are
 // appended to the decided SST — the coordinator's decision marker.
-func (cn *Conn) Decide(tx string, commit bool, extra ...SSTWriteJSON) error {
-	_, err := cn.call(&Request{Op: OpDecide, Tx: tx, Decision: commit, Writes: extra})
-	return err
+func (c Calls) Decide(tx string, commit bool, extra ...SSTWriteJSON) error {
+	return c.do(&Request{Op: OpDecide, Tx: tx, Decision: commit, Writes: extra})
 }
 
 // Replay re-applies a logged commit decision after a participant restart.
 // applied=false reports the marker probe found the write set already
 // durable. Idempotent; the recovering coordinator is the only caller.
-func (cn *Conn) Replay(tx string, marker SSTWriteJSON, writes []SSTWriteJSON) (applied bool, err error) {
-	resp, err := cn.call(&Request{Op: OpReplay, Tx: tx, Marker: &marker, Writes: writes})
+func (c Calls) Replay(tx string, marker SSTWriteJSON, writes []SSTWriteJSON) (applied bool, err error) {
+	resp, err := c(&Request{Op: OpReplay, Tx: tx, Marker: &marker, Writes: writes})
 	if err != nil {
 		return false, err
 	}
@@ -218,8 +207,8 @@ func (cn *Conn) Replay(tx string, marker SSTWriteJSON, writes []SSTWriteJSON) (a
 
 // Shards returns the shard topology. With object non-empty the response
 // also names the shard that owns it.
-func (cn *Conn) Shards(object string) ([]ShardStat, *int, error) {
-	resp, err := cn.call(&Request{Op: OpShards, Object: object})
+func (c Calls) Shards(object string) ([]ShardStat, *int, error) {
+	resp, err := c(&Request{Op: OpShards, Object: object})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,15 +216,12 @@ func (cn *Conn) Shards(object string) ([]ShardStat, *int, error) {
 }
 
 // Sleep parks the transaction explicitly.
-func (cn *Conn) Sleep(tx string) error {
-	_, err := cn.call(&Request{Op: OpSleep, Tx: tx})
-	return err
-}
+func (c Calls) Sleep(tx string) error { return c.do(&Request{Op: OpSleep, Tx: tx}) }
 
 // Awake resumes a sleeping transaction; resumed=false means the GTM
 // aborted it because an incompatible operation intervened.
-func (cn *Conn) Awake(tx string) (resumed bool, err error) {
-	resp, err := cn.call(&Request{Op: OpAwake, Tx: tx})
+func (c Calls) Awake(tx string) (resumed bool, err error) {
+	resp, err := c(&Request{Op: OpAwake, Tx: tx})
 	if err != nil {
 		return false, err
 	}
@@ -243,8 +229,8 @@ func (cn *Conn) Awake(tx string) (resumed bool, err error) {
 }
 
 // State returns the transaction's state name.
-func (cn *Conn) State(tx string) (string, error) {
-	resp, err := cn.call(&Request{Op: OpState, Tx: tx})
+func (c Calls) State(tx string) (string, error) {
+	resp, err := c(&Request{Op: OpState, Tx: tx})
 	if err != nil {
 		return "", err
 	}
@@ -252,19 +238,16 @@ func (cn *Conn) State(tx string) (string, error) {
 }
 
 // Stats returns the middleware's counters.
-func (cn *Conn) Stats() (map[string]uint64, error) {
-	resp, err := cn.call(&Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Stats, nil
+func (c Calls) Stats() (map[string]uint64, error) {
+	stats, _, err := c.Metrics()
+	return stats, err
 }
 
 // Metrics returns the server's live observability snapshot alongside the
 // manager counters. The metrics map is empty when the server runs without
 // an obs registry.
-func (cn *Conn) Metrics() (stats, metrics map[string]uint64, err error) {
-	resp, err := cn.call(&Request{Op: OpStats})
+func (c Calls) Metrics() (stats, metrics map[string]uint64, err error) {
+	resp, err := c(&Request{Op: OpStats})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -275,8 +258,8 @@ func (cn *Conn) Metrics() (stats, metrics map[string]uint64, err error) {
 // the backend counters — the only stats path that itself enters zero GTM
 // monitor sections, so bracketing a measurement window with it leaves the
 // monitor-entry counter untouched.
-func (cn *Conn) MetricsOnly() (map[string]uint64, error) {
-	resp, err := cn.call(&Request{Op: OpStats, ReadOnly: true})
+func (c Calls) MetricsOnly() (map[string]uint64, error) {
+	resp, err := c(&Request{Op: OpStats, ReadOnly: true})
 	if err != nil {
 		return nil, err
 	}
@@ -284,8 +267,8 @@ func (cn *Conn) MetricsOnly() (map[string]uint64, error) {
 }
 
 // ObjectInfo returns one object's scheduling snapshot.
-func (cn *Conn) ObjectInfo(object string) (*ObjectInfoJSON, error) {
-	resp, err := cn.call(&Request{Op: OpInfo, Object: object})
+func (c Calls) ObjectInfo(object string) (*ObjectInfoJSON, error) {
+	resp, err := c(&Request{Op: OpInfo, Object: object})
 	if err != nil {
 		return nil, err
 	}
@@ -293,8 +276,8 @@ func (cn *Conn) ObjectInfo(object string) (*ObjectInfoJSON, error) {
 }
 
 // Transactions returns the server's transaction registry snapshot.
-func (cn *Conn) Transactions() ([]TxSummaryJSON, error) {
-	resp, err := cn.call(&Request{Op: OpTxs})
+func (c Calls) Transactions() ([]TxSummaryJSON, error) {
+	resp, err := c(&Request{Op: OpTxs})
 	if err != nil {
 		return nil, err
 	}
@@ -302,8 +285,8 @@ func (cn *Conn) Transactions() ([]TxSummaryJSON, error) {
 }
 
 // Objects lists the objects the middleware manages.
-func (cn *Conn) Objects() ([]string, error) {
-	resp, err := cn.call(&Request{Op: OpObjects})
+func (c Calls) Objects() ([]string, error) {
+	resp, err := c(&Request{Op: OpObjects})
 	if err != nil {
 		return nil, err
 	}

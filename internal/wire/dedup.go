@@ -6,7 +6,9 @@ import (
 )
 
 // DefaultDedupWindow is how many recent (seq → response) entries the server
-// retains per transaction for exactly-once replay.
+// retains per transaction for exactly-once replay. It is a hard cap: a
+// client cannot widen it, and a retry whose seq has slid 128 or more
+// below the transaction's newest is refused rather than re-executed.
 const DefaultDedupWindow = 128
 
 // dedupEntry is one mutating request the server has seen: either still
@@ -31,9 +33,6 @@ type dedupWindow struct {
 }
 
 func newDedupWindow(window int) *dedupWindow {
-	if window <= 0 {
-		window = DefaultDedupWindow
-	}
 	return &dedupWindow{window: window, entries: make(map[uint64]*dedupEntry)}
 }
 

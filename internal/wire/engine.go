@@ -73,10 +73,6 @@ type EngineOptions struct {
 	// queryable before the engine forgets them and frees their state.
 	// Zero means 10 minutes; negative retains forever.
 	Retention time.Duration
-	// DedupWindow is how many recent mutating requests per transaction are
-	// remembered for exactly-once replay of client retries. Zero means
-	// DefaultDedupWindow.
-	DedupWindow int
 	// Obs, when non-nil, receives the engine's replay/drain counters.
 	Obs *obs.Registry
 }
@@ -94,7 +90,6 @@ type Engine struct {
 	log           *log.Logger
 	invokeTimeout time.Duration
 	retention     time.Duration
-	dedupWindow   int
 
 	obs         *obs.Registry // nil when observability is off
 	replays     *obs.Counter  // nil when observability is off
@@ -127,7 +122,6 @@ func NewEngine(b Backend, opts EngineOptions) *Engine {
 		log:           lg,
 		invokeTimeout: opts.InvokeTimeout,
 		retention:     retention,
-		dedupWindow:   opts.DedupWindow,
 		baseCtx:       baseCtx,
 		baseStop:      baseStop,
 		clients:       make(map[string]Session),
@@ -283,7 +277,7 @@ func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 	e.mu.Lock()
 	w := e.dedups[req.Tx]
 	if w == nil {
-		w = newDedupWindow(e.dedupWindow)
+		w = newDedupWindow(DefaultDedupWindow)
 		e.dedups[req.Tx] = w
 	}
 	e.mu.Unlock()

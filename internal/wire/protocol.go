@@ -353,6 +353,19 @@ func AsRetryAfter(resp *Response) *RetryAfterError {
 	return &RetryAfterError{After: time.Duration(resp.RetryAfterMS) * time.Millisecond, Reason: reason}
 }
 
+// AsError is the error a client sees for a decoded response: nil when it
+// is OK, a *RetryAfterError for a backpressure rejection, otherwise the
+// server's message.
+func AsError(resp *Response) error {
+	if resp.OK {
+		return nil
+	}
+	if ra := AsRetryAfter(resp); ra != nil {
+		return ra
+	}
+	return errors.New(resp.Err)
+}
+
 // WriteMsg frames v as [u32 length][JSON].
 func WriteMsg(w io.Writer, v any) error {
 	payload, err := json.Marshal(v)

@@ -325,3 +325,76 @@ func TestResilientConnRecoversFromKilledConnections(t *testing.T) {
 		t.Fatalf("flight = %s (%v), want 49", v, err)
 	}
 }
+
+// TestResilientOwnedSetFollowsCall pins the owned-set bookkeeping in
+// ResilientConn's round trip: after a begin, a dropped link makes the next
+// call re-attach and awaken the transaction; after its commit (or an
+// abort), a dropped link sends no attach for it.
+func TestResilientOwnedSetFollowsCall(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, addr := newTestServerOpts(t, ServerOptions{Obs: reg})
+	count := func(op Op) uint64 {
+		return reg.Snapshot()[`wire_requests_total{op="`+string(op)+`"}`]
+	}
+	rc := DialResilient(addr, ResilientOptions{CallTimeout: 5 * time.Second, Seed: 3})
+	defer rc.Close()
+	watch, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Close()
+
+	const tx = "owned-1"
+	if err := rc.Begin(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Invoke(tx, "flight", sem.AddSub, ""); err != nil {
+		t.Fatal(err)
+	}
+	rc.DropLink()
+	// Wait for the server to put the transaction to sleep, so the re-attach
+	// below finds it asleep instead of racing the old link's teardown.
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		st, err := watch.State(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == "Sleeping" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("transaction stuck in %s after the link dropped", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := rc.Apply(tx, "flight", sem.Int(-1)); err != nil {
+		t.Fatalf("apply after reconnect: %v", err)
+	}
+	if got := count(OpAttach); got != 1 {
+		t.Fatalf("attaches after the first drop = %d, want 1", got)
+	}
+	if got := count(OpAwake); got != 1 {
+		t.Fatalf("awakes after the first drop = %d, want 1", got)
+	}
+
+	if err := rc.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Begin("owned-2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Abort("owned-2"); err != nil {
+		t.Fatal(err)
+	}
+	rc.DropLink()
+	if st, err := rc.State(tx); err != nil || st != "Committed" {
+		t.Fatalf("state after the second drop = %q, %v", st, err)
+	}
+	if got := count(OpAttach); got != 1 {
+		t.Fatalf("attaches after the second drop = %d, want 1: a finished transaction was re-attached", got)
+	}
+	if got := rc.Reconnects(); got != 2 {
+		t.Fatalf("reconnects = %d, want 2", got)
+	}
+}

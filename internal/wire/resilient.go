@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"preserial/internal/obs"
-	"preserial/internal/sem"
 )
 
 // ErrTxLost reports that the server no longer knows a transaction this
@@ -57,6 +56,7 @@ type ResilientOptions struct {
 // violations, unknown objects) are returned immediately; only transport
 // faults are retried.
 type ResilientConn struct {
+	Calls
 	addr string
 	opts ResilientOptions
 	log  *log.Logger
@@ -110,6 +110,7 @@ func DialResilient(addr string, opts ResilientOptions) *ResilientConn {
 		owned:  make(map[string]bool),
 		doomed: make(map[string]error),
 	}
+	rc.Calls = rc.call
 	if opts.Obs != nil {
 		rc.obsReconnects = opts.Obs.Counter(obs.NameWireReconnects, "Reconnections performed by resilient clients.")
 		rc.obsRetries = opts.Obs.Counter(obs.NameWireClientRetries, "Request retries performed by resilient clients.")
@@ -246,10 +247,7 @@ func (rc *ResilientConn) awaken(cn *Conn, tx string) error {
 		if resp == nil {
 			return errTransport{err}
 		}
-		if strings.Contains(err.Error(), "awake requires Sleeping") {
-			return nil // already awake (e.g. a replayed earlier awake won)
-		}
-		return nil
+		return nil // refused: already awake (e.g. a replayed earlier awake won)
 	}
 	if !resp.Resumed {
 		rc.doom(tx, fmt.Errorf("core: transaction %s aborted (sleep-conflict): incompatible operation during disconnection", tx))
@@ -267,7 +265,12 @@ func (rc *ResilientConn) doom(tx string, err error) {
 
 // call runs one logical request to completion: stamp a sequence number if
 // the op mutates, then attempt/reconnect/retry until a response arrives, an
-// application error is returned, or the attempt budget is spent.
+// application error is returned, or the attempt budget is spent. A
+// successful begin or attach adds the transaction to the owned set that a
+// reconnect re-attaches; a successful commit, abort or decide removes it.
+// A commit whose response was lost to a disconnection is recovered by
+// retrying under the same sequence number: the server replays the recorded
+// outcome instead of committing twice.
 func (rc *ResilientConn) call(req *Request) (*Response, error) {
 	if req.Tx != "" {
 		if err := rc.doomed[req.Tx]; err != nil {
@@ -302,6 +305,12 @@ func (rc *ResilientConn) call(req *Request) (*Response, error) {
 		}
 		resp, err := cn.call(req)
 		if err == nil {
+			switch {
+			case req.Op == OpBegin, req.Op == OpAttach:
+				rc.owned[req.Tx] = true
+			case terminalOp(req.Op):
+				delete(rc.owned, req.Tx) // nothing left to re-attach
+			}
 			return resp, nil
 		}
 		if resp == nil {
@@ -335,113 +344,4 @@ func (rc *ResilientConn) call(req *Request) (*Response, error) {
 	}
 	return nil, fmt.Errorf("wire: %s %s: giving up after %d attempts: %w",
 		req.Op, req.Tx, rc.opts.MaxAttempts, lastErr)
-}
-
-// Begin starts a transaction owned by this client.
-func (rc *ResilientConn) Begin(tx string) error {
-	_, err := rc.call(&Request{Op: OpBegin, Tx: tx})
-	if err == nil {
-		rc.owned[tx] = true
-	}
-	return err
-}
-
-// Attach adopts an existing transaction (e.g. from a previous process).
-func (rc *ResilientConn) Attach(tx string) error {
-	_, err := rc.call(&Request{Op: OpAttach, Tx: tx})
-	if err == nil {
-		rc.owned[tx] = true
-	}
-	return err
-}
-
-// Invoke requests an operation class on an object, blocking until granted.
-func (rc *ResilientConn) Invoke(tx, object string, class sem.Class, member string) error {
-	_, err := rc.call(&Request{
-		Op: OpInvoke, Tx: tx, Object: object, Class: ClassName(class), Member: member,
-	})
-	return err
-}
-
-// Read returns the transaction's virtual value of the object.
-func (rc *ResilientConn) Read(tx, object string) (sem.Value, error) {
-	resp, err := rc.call(&Request{Op: OpRead, Tx: tx, Object: object})
-	if err != nil {
-		return sem.Value{}, err
-	}
-	if resp.Value == nil {
-		return sem.Value{}, fmt.Errorf("wire: read returned no value")
-	}
-	return resp.Value.ToSem()
-}
-
-// Apply performs one operation of the invoked class on the virtual copy.
-func (rc *ResilientConn) Apply(tx, object string, operand sem.Value) error {
-	wv := FromSem(operand)
-	_, err := rc.call(&Request{Op: OpApply, Tx: tx, Object: object, Operand: &wv})
-	return err
-}
-
-// Commit runs the two-phase commit and blocks until the SST finishes. A
-// response lost to a disconnection is recovered by retrying under the same
-// sequence number: the server replays the recorded outcome instead of
-// committing twice.
-func (rc *ResilientConn) Commit(tx string) error {
-	_, err := rc.call(&Request{Op: OpCommit, Tx: tx})
-	if err == nil {
-		delete(rc.owned, tx) // terminal: nothing left to re-attach
-	}
-	return err
-}
-
-// Abort aborts the transaction.
-func (rc *ResilientConn) Abort(tx string) error {
-	_, err := rc.call(&Request{Op: OpAbort, Tx: tx})
-	if err == nil {
-		delete(rc.owned, tx)
-	}
-	return err
-}
-
-// Sleep parks the transaction explicitly.
-func (rc *ResilientConn) Sleep(tx string) error {
-	_, err := rc.call(&Request{Op: OpSleep, Tx: tx})
-	return err
-}
-
-// Awake resumes a sleeping transaction; resumed=false means the GTM
-// aborted it because an incompatible operation intervened.
-func (rc *ResilientConn) Awake(tx string) (resumed bool, err error) {
-	resp, err := rc.call(&Request{Op: OpAwake, Tx: tx})
-	if err != nil {
-		return false, err
-	}
-	return resp.Resumed, nil
-}
-
-// State returns the transaction's state name.
-func (rc *ResilientConn) State(tx string) (string, error) {
-	resp, err := rc.call(&Request{Op: OpState, Tx: tx})
-	if err != nil {
-		return "", err
-	}
-	return resp.State, nil
-}
-
-// Stats returns the middleware's counters.
-func (rc *ResilientConn) Stats() (map[string]uint64, error) {
-	resp, err := rc.call(&Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Stats, nil
-}
-
-// Metrics returns the server's counters and live metric snapshot.
-func (rc *ResilientConn) Metrics() (stats, metrics map[string]uint64, err error) {
-	resp, err := rc.call(&Request{Op: OpStats})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Stats, resp.Metrics, nil
 }

@@ -50,10 +50,6 @@ type ServerOptions struct {
 	// queryable before the server forgets them and frees their state.
 	// Zero means 10 minutes; negative retains forever.
 	Retention time.Duration
-	// DedupWindow is how many recent mutating requests per transaction are
-	// remembered for exactly-once replay of client retries. Zero means
-	// DefaultDedupWindow.
-	DedupWindow int
 	// Obs, when non-nil, receives the wire_* metric set and its live
 	// snapshot is merged into every stats response.
 	Obs *obs.Registry
@@ -78,7 +74,6 @@ func NewBackendServer(b Backend, opts ServerOptions) *Server {
 			Logger:        lg,
 			InvokeTimeout: opts.InvokeTimeout,
 			Retention:     opts.Retention,
-			DedupWindow:   opts.DedupWindow,
 			Obs:           opts.Obs,
 		}),
 		log:   lg,

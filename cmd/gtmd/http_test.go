@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
@@ -9,45 +10,41 @@ import (
 	"time"
 
 	"preserial/internal/core"
-	"preserial/internal/ldbs"
 	"preserial/internal/obs"
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
 // newDiagHandler assembles the diagnostics stack exactly as main does, on an
-// in-memory demo database, and drives one booking so the metrics move.
+// in-memory single-node demo shard, and drives one booking so the metrics
+// move.
 func newDiagHandler(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := obs.NewRegistry()
-	observ := core.NewObservability(reg, 128)
-	db := ldbs.Open(ldbs.Options{Obs: reg})
-	if err := createDemoSchema(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := seedDemo(db, demoRefs(), 10); err != nil {
-		t.Fatal(err)
-	}
-	m := core.NewManager(core.NewLDBSStore(db), core.WithHistory(),
-		core.WithObservability(observ))
-	if err := registerDemoObjects(m, demoRefs()); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := m.BeginClient("book1")
+	cfg := &config{shards: 1, seats: 10, reg: reg, observ: core.NewObservability(reg, 128)}
+	s, err := openDemoShard(cfg, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Invoke(t.Context(), "Flight/AZ0", sem.Op{Class: sem.AddSub}); err != nil {
+	t.Cleanup(s.Close)
+
+	ctx := context.Background()
+	c, err := s.Manager().BeginClient("book1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Invoke(ctx, "Flight/AZ0", sem.Op{Class: sem.AddSub}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Apply("Flight/AZ0", sem.Int(-1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(t.Context()); err != nil {
+	if err := c.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	ts := httptest.NewServer(newHTTPHandler(reg, observ, liveCount(m), time.Now()))
+	live := liveCountBackend(wire.NewManagerBackend(s.Manager()))
+	ts := httptest.NewServer(newHTTPHandler(reg, cfg.observ, live, time.Now()))
 	t.Cleanup(ts.Close)
 	return ts
 }

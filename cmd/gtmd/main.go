@@ -20,21 +20,22 @@
 // the file's superblock instead of rewriting a snapshot. All modes honor
 // it (shards get one page file per shard directory). See docs/STORAGE.md.
 //
-// Sharded deployments (clients are unchanged in every mode):
+// Sharded deployments split the object space over -shards ring positions by
+// rendezvous hashing; a single node is the one-shard case (clients are
+// unchanged in every mode):
 //
 //	gtmd -shards 4 -data /var/lib/gtmd
-//	    One process, four GTM+LDBS partitions (dirs shard-0..shard-3), the
-//	    object space split by rendezvous hashing, cross-shard commits via
-//	    two-phase SSTs with a coordinator WAL (coord.wal).
+//	    One process hosting all four GTM+LDBS partitions (dirs shard-0..3),
+//	    cross-shard commits via two-phase SSTs with a coordinator WAL.
 //
-//	gtmd -shard-index 1 -shard-count 4 -addr :7655 -data /var/lib/shard-1
+//	gtmd -shards 4 -shard-index 1 -addr :7655 -data /var/lib/shard-1
 //	    One participant of a multi-process cluster: seeds and serves only
 //	    the demo objects the ring routes to shard 1.
 //
 //	gtmd -route host0:7655,host1:7656 -addr :7654 -data /var/lib/router
 //	    A router/coordinator over already-running participants.
 //
-// Replication (single-node and participant modes; see docs/REPLICATION.md):
+// Replication (a process hosting one shard; see docs/REPLICATION.md):
 //
 //	gtmd -addr :7655 -data /var/lib/shard-1 -repl-listen :9655
 //	    Ship the WAL to followers; commits are semi-synchronous once a
@@ -48,9 +49,9 @@
 // With -gateway (composes with every mode), the TCP front end is the
 // session-multiplexing gateway tier: many logical sessions per connection,
 // token-bucket admission control (-gw-rate, -gw-tenant-rate), bounded
-// dispatch lanes with retry-after backpressure (-gw-lanes, -gw-lane-depth)
-// and a parked-session table so an idle disconnected client costs bytes
-// (-gw-max-sessions, -gw-session-retention). See docs/GATEWAY.md.
+// dispatch lanes with retry-after backpressure, and a parked-session table
+// so an idle disconnected client costs bytes (-gw-max-sessions,
+// -gw-session-retention). See docs/GATEWAY.md.
 //
 // With -http, a diagnostics listener serves /metrics (Prometheus text),
 // /healthz, /debug/trace (the GTM event ring as JSON) and /debug/pprof.
@@ -59,6 +60,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,6 +84,16 @@ import (
 	"preserial/internal/wire"
 )
 
+const (
+	// sstWorkers × sstQueueDepth size every shard's SST executor: a free
+	// worker applies everything queued as one store transaction, and an
+	// overflowing queue runs the SST on the committing goroutine.
+	sstWorkers    = 4
+	sstQueueDepth = 64
+	// traceDepth is the capacity of the GTM event ring behind /debug/trace.
+	traceDepth = 4096
+)
+
 // config carries the parsed flags shared by every mode.
 type config struct {
 	addr      string
@@ -98,9 +110,8 @@ type config struct {
 	drainTO   time.Duration
 
 	shards     int
-	route      string
 	shardIndex int
-	shardCount int
+	route      string
 
 	replListen    string
 	replicaOf     string
@@ -108,17 +119,12 @@ type config struct {
 	promoteOnExit bool
 
 	gateway       bool
-	gwLanes       int
-	gwLaneDepth   int
-	gwWorkers     int
 	gwSessions    int
 	gwRate        float64
 	gwBurst       float64
 	gwTenantRate  float64
 	gwTenantBurst float64
 	gwRetention   time.Duration
-
-	managerOpts func() []core.Option
 
 	logger *log.Logger
 	reg    *obs.Registry
@@ -138,28 +144,20 @@ func main() {
 	sleepTO := flag.Duration("sleep-abort-after", time.Hour, "abort sleepers away longer than this (0: never)")
 	invokeTO := flag.Duration("invoke-timeout", 0, "fail blocking invokes after this (0: wait forever)")
 	httpAddr := flag.String("http", "", "diagnostics listen address for /metrics, /healthz, /debug/trace and /debug/pprof (empty: disabled)")
-	traceDepth := flag.Int("trace-depth", 4096, "GTM event trace ring capacity")
-	sstWorkers := flag.Int("sst-workers", 4, "SST executor worker goroutines per shard; a free worker applies everything queued as one store transaction (0: apply each SST on the committing goroutine)")
-	sstQueue := flag.Int("sst-queue-depth", 64, "SST executor queue depth; overflow runs inline")
-	syncDelay := flag.Duration("wal-sync-delay", 0, "emulated stable-storage latency added to every WAL sync (models mobile-class flash; 0: none)")
 	drainTO := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT: wait this long for in-flight commits before exiting")
-	shards := flag.Int("shards", 1, "run N in-process shards with cross-shard two-phase commit (1: classic single node)")
+	shards := flag.Int("shards", 1, "split the object space over N ring positions, with cross-shard two-phase commit; this process hosts all of them unless -shard-index picks one (1: classic single node)")
+	shardIndex := flag.Int("shard-index", -1, "host only this ring position of -shards, as one participant of a multi-process cluster (-1: host every shard)")
 	route := flag.String("route", "", "comma-separated participant addresses; serve as a stateless router/coordinator over them")
-	shardIndex := flag.Int("shard-index", 0, "this participant's ring position (with -shard-count)")
-	shardCount := flag.Int("shard-count", 0, "total shard count of the cluster this participant belongs to (0: not a participant)")
 	gw := flag.Bool("gateway", false, "serve the session-multiplexing gateway front end (many logical sessions per connection, admission control, parked-session table) instead of one goroutine per connection; composes with every mode")
-	gwLanes := flag.Int("gw-lanes", gateway.DefaultLanes, "gateway dispatch lanes (requests route by owning shard, or by tx hash)")
-	gwLaneDepth := flag.Int("gw-lane-depth", gateway.DefaultLaneDepth, "per-lane queue bound; a full lane sheds with retry-after")
-	gwWorkers := flag.Int("gw-lane-workers", gateway.DefaultLaneWorkers, "concurrent requests per lane")
 	gwSessions := flag.Int("gw-max-sessions", 0, "session-table cap, bound + parked (0: unlimited)")
 	gwRate := flag.Float64("gw-rate", 0, "global admission rate, transaction begins per second (0: unlimited)")
 	gwBurst := flag.Float64("gw-burst", 0, "global admission burst (0: same as -gw-rate)")
 	gwTenantRate := flag.Float64("gw-tenant-rate", 0, "per-tenant admission rate, begins per second (0: no per-tenant limiting)")
 	gwTenantBurst := flag.Float64("gw-tenant-burst", 0, "per-tenant admission burst (0: same as -gw-tenant-rate)")
 	gwRetention := flag.Duration("gw-session-retention", gateway.DefaultSessionRetention, "reap parked sessions idle longer than this (negative: never)")
-	replListen := flag.String("repl-listen", "", "serve the WAL replication stream to followers on this address (single-node and participant modes; requires -data)")
+	replListen := flag.String("repl-listen", "", "serve the WAL replication stream to followers on this address (a process hosting one shard; requires -data)")
 	replicaOf := flag.String("replica-of", "", "run as a warm follower of the primary at this address (its -repl-listen); -data names the follower's own directory")
-	replAsync := flag.Bool("repl-async", false, "acknowledge commits without waiting for a follower ack (default: semi-synchronous once a follower attaches)")
+	replAsync := flag.Bool("repl-async", false, "with -repl-listen: acknowledge commits without waiting for a follower ack (default: semi-synchronous once a follower attaches)")
 	promoteOnExit := flag.Bool("promote-on-exit", false, "with -replica-of: on the shutdown signal, promote the follower directory to a primary at the next fencing epoch before exiting (fence the old primary first)")
 	flag.Parse()
 
@@ -170,160 +168,154 @@ func main() {
 		ckptEvery: *ckptEvery, seats: *seats,
 		idle: *idle, waitTO: *waitTO, sleepTO: *sleepTO, invokeTO: *invokeTO,
 		httpAddr: *httpAddr, drainTO: *drainTO,
-		shards: *shards, route: *route, shardIndex: *shardIndex, shardCount: *shardCount,
+		shards: *shards, shardIndex: *shardIndex, route: *route,
 		replListen: *replListen, replicaOf: *replicaOf, replAsync: *replAsync,
 		promoteOnExit: *promoteOnExit,
-		gateway:       *gw, gwLanes: *gwLanes, gwLaneDepth: *gwLaneDepth, gwWorkers: *gwWorkers,
-		gwSessions: *gwSessions, gwRate: *gwRate, gwBurst: *gwBurst,
+		gateway:       *gw, gwSessions: *gwSessions, gwRate: *gwRate, gwBurst: *gwBurst,
 		gwTenantRate: *gwTenantRate, gwTenantBurst: *gwTenantBurst, gwRetention: *gwRetention,
 		logger: logger, reg: reg,
-		observ: core.NewObservability(reg, *traceDepth),
+		observ: core.NewObservability(reg, traceDepth),
 		start:  time.Now(),
 	}
-	cfg.managerOpts = func() []core.Option {
-		opts := []core.Option{core.WithHistory(), core.WithObservability(cfg.observ)}
-		if *sstWorkers > 0 {
-			opts = append(opts, core.WithSSTExecutor(*sstWorkers, *sstQueue))
-		}
-		return opts
-	}
-	modes := 0
-	for _, on := range []bool{*shards > 1, *route != "", *shardCount > 0, *replicaOf != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		logger.Fatal("-shards, -route, -shard-count and -replica-of are mutually exclusive")
-	}
-	if *replListen != "" && (*shards > 1 || *route != "" || *replicaOf != "") {
-		logger.Fatal("-repl-listen applies to single-node and participant modes only")
+	if err := cfg.validate(); err != nil {
+		logger.Fatal(err)
 	}
 
-	walOpts := ldbs.Options{Obs: reg, SyncDelay: *syncDelay}
 	switch {
-	case *replicaOf != "":
+	case cfg.replicaOf != "":
 		runFollower(cfg)
-	case *route != "":
+	case cfg.route != "":
 		runRouter(cfg)
-	case *shardCount > 0:
-		runParticipant(cfg, walOpts)
-	case *shards > 1:
-		runCluster(cfg, walOpts)
 	default:
-		runSingle(cfg, walOpts)
+		runLocal(cfg)
 	}
 }
 
-// --- classic single node ---
+// validate rejects flag combinations that would otherwise be silently
+// ignored or contradict each other.
+func (cfg *config) validate() error {
+	local := cfg.shards > 1 || cfg.shardIndex >= 0
+	switch {
+	case local && cfg.route != "", local && cfg.replicaOf != "", cfg.route != "" && cfg.replicaOf != "":
+		return errors.New("-shards/-shard-index, -route and -replica-of are mutually exclusive")
+	case cfg.shards < 1:
+		return fmt.Errorf("-shards %d: need at least one shard", cfg.shards)
+	case cfg.shardIndex < -1 || cfg.shardIndex >= cfg.shards:
+		return fmt.Errorf("-shard-index %d outside [-1, %d) for -shards %d", cfg.shardIndex, cfg.shards, cfg.shards)
+	case cfg.replListen != "" && (cfg.route != "" || cfg.replicaOf != "" || cfg.shards > 1 && cfg.shardIndex < 0):
+		return errors.New("-repl-listen ships the WAL of a process hosting one shard: not with -route, -replica-of or several hosted shards")
+	case cfg.replListen != "" && cfg.dataDir == "":
+		return errors.New("-repl-listen requires -data: the fencing epoch lives in the data directory")
+	case cfg.replAsync && cfg.replListen == "":
+		return errors.New("-repl-async requires -repl-listen")
+	case cfg.replicaOf != "" && cfg.dataDir == "":
+		return errors.New("-replica-of requires -data for the follower's own directory")
+	case cfg.promoteOnExit && cfg.replicaOf == "":
+		return errors.New("-promote-on-exit requires -replica-of")
+	}
+	return nil
+}
 
-func runSingle(cfg *config, walOpts ldbs.Options) {
+// --- local shards: single node, participant, in-process cluster ---
+
+// runLocal hosts every shard of -shards, or only -shard-index. One hosted
+// shard (single node, participant) is served directly from the -data root
+// and may ship its WAL; several are served through an in-process
+// coordinator, with shard-i/ subdirectories plus coord.wal under -data.
+func runLocal(cfg *config) {
 	logger := cfg.logger
-	var db *ldbs.DB
-	var pers *ldbs.Persistence
-	if cfg.dataDir != "" {
-		pers = &ldbs.Persistence{Dir: cfg.dataDir, Obs: cfg.reg,
-			Store: cfg.store, PageCacheBytes: cfg.pageCache,
-			SyncDelay: walOpts.SyncDelay}
-		recovered, err := pers.Open(demoSchemas())
+	first, n := 0, cfg.shards
+	if cfg.shardIndex >= 0 {
+		first, n = cfg.shardIndex, 1
+	}
+	locals := make([]*shard.LocalShard, n)
+	members := make([]shard.Shard, n)
+	for j := range locals {
+		i, dir := first+j, cfg.dataDir
+		if dir != "" && n > 1 {
+			dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+		}
+		s, err := openDemoShard(cfg, i, dir)
 		if err != nil {
-			logger.Fatalf("recovery: %v", err)
+			logger.Fatal(err)
 		}
-		defer pers.Close()
-		db = recovered
-		logger.Printf("recovered %s (committed so far: %d)", cfg.dataDir, db.Stats().Committed)
-		go func() {
-			t := time.NewTicker(cfg.ckptEvery)
-			defer t.Stop()
-			for range t.C {
-				if err := pers.Checkpoint(db); err != nil {
-					logger.Printf("checkpoint: %v", err)
-				} else {
-					logger.Printf("checkpoint written")
-				}
+		locals[j], members[j] = s, s
+		logger.Printf("shard %d/%d up (dir %q, committed so far: %d)", i, cfg.shards, dir, s.DB().Stats().Committed)
+		sup := core.SupervisorConfig{IdleTimeout: cfg.idle, WaitTimeout: cfg.waitTO, SleepAbortAfter: cfg.sleepTO}
+		go core.RunSupervisor(context.Background(), s.Manager(), sup, 5*time.Second)
+	}
+	checkpoint := func() { // a no-op for shards without -data
+		for _, s := range locals {
+			if err := s.Checkpoint(); err != nil {
+				logger.Printf("checkpoint shard %d: %v", s.Index(), err)
 			}
-		}()
+		}
+	}
+	go func() {
+		for range time.Tick(cfg.ckptEvery) {
+			checkpoint()
+		}
+	}()
+
+	var backend wire.Backend
+	var cl *shard.Cluster
+	mode, stopRepl := "single node", func() {}
+	if n == 1 {
+		backend = wire.NewManagerBackend(locals[0].Manager())
+		stopRepl = startReplSource(cfg, locals[0].DB())
+		if cfg.shardIndex >= 0 {
+			mode = fmt.Sprintf("participant %d/%d", first, cfg.shards)
+		}
 	} else {
-		db = ldbs.Open(walOpts)
-		if err := createDemoSchema(db); err != nil {
-			logger.Fatalf("schema: %v", err)
+		var err error
+		if cl, err = openCluster(cfg, members); err != nil {
+			logger.Fatalf("in-doubt resolution: %v", err)
 		}
+		backend, mode = cl, fmt.Sprintf("%d in-process shards", n)
 	}
 
-	if err := seedDemo(db, demoRefs(), cfg.seats); err != nil {
-		logger.Fatalf("seed: %v", err)
-	}
-
-	m := core.NewManager(core.NewLDBSStore(db), cfg.managerOpts()...)
-	defer m.Close()
-	if err := registerDemoObjects(m, demoRefs()); err != nil {
-		logger.Fatalf("register: %v", err)
-	}
-
-	stopRepl := startReplSource(cfg, db)
-	startHTTP(cfg, liveCount(m))
-	go core.RunSupervisor(context.Background(), m, core.SupervisorConfig{
-		IdleTimeout:     cfg.idle,
-		WaitTimeout:     cfg.waitTO,
-		SleepAbortAfter: cfg.sleepTO,
-	}, 5*time.Second)
-
-	srv := cfg.newFrontEnd(wire.NewManagerBackend(m))
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("single node (data dir %q)", cfg.dataDir)), func() {
+	startHTTP(cfg, liveCountBackend(backend))
+	serveWithDrain(cfg, cfg.newFrontEnd(backend), cfg.banner(fmt.Sprintf("%s (data dir %q)", mode, cfg.dataDir)), func() {
 		stopRepl()
-		m.Close()
-		if pers != nil {
-			if err := pers.Checkpoint(db); err != nil {
-				logger.Printf("final checkpoint: %v", err)
-			}
-			if err := pers.Close(); err != nil {
-				logger.Printf("wal close: %v", err)
-			}
+		if cl != nil {
+			cl.Close()
+		}
+		checkpoint()
+		for _, s := range locals {
+			s.Close()
 		}
 	})
 }
 
-// --- in-process sharded cluster ---
+// openDemoShard opens ring position i of -shards as a LocalShard in dir,
+// seeding and registering the demo objects the ring routes there.
+func openDemoShard(cfg *config, i int, dir string) (*shard.LocalShard, error) {
+	owned := ownedRefs(shard.NewRing(cfg.shards), i)
+	return shard.OpenLocal(shard.LocalConfig{
+		Index:          i,
+		Dir:            dir,
+		Store:          cfg.store,
+		PageCacheBytes: cfg.pageCache,
+		Schemas:        demoSchemas(),
+		Seed:           func(db *ldbs.DB) error { return seedDemo(db, owned, cfg.seats) },
+		Objects:        objectMap(owned),
+		Obs:            cfg.reg,
+		Observability:  cfg.observ,
+		ManagerOpts:    []core.Option{core.WithSSTExecutor(sstWorkers, sstQueueDepth)},
+	})
+}
 
-func runCluster(cfg *config, walOpts ldbs.Options) {
+// openCluster puts a two-phase-commit coordinator over members, logging
+// its decisions to coord.wal under -data, and resolves the in-doubt
+// commits that log holds. Whether a resolution error is fatal is the
+// caller's call: in process every participant is already up.
+func openCluster(cfg *config, members []shard.Shard) (*shard.Cluster, error) {
 	logger := cfg.logger
-	ring := shard.NewRing(cfg.shards)
-	locals := make([]*shard.LocalShard, cfg.shards)
-	members := make([]shard.Shard, cfg.shards)
-	for i := 0; i < cfg.shards; i++ {
-		owned := ownedRefs(ring, i)
-		dir := ""
-		if cfg.dataDir != "" {
-			dir = filepath.Join(cfg.dataDir, fmt.Sprintf("shard-%d", i))
-		}
-		s, err := shard.OpenLocal(shard.LocalConfig{
-			Index:          i,
-			Dir:            dir,
-			Store:          cfg.store,
-			PageCacheBytes: cfg.pageCache,
-			Schemas:        demoSchemas(),
-			Seed:           func(db *ldbs.DB) error { return seedDemo(db, owned, cfg.seats) },
-			Objects:        objectMap(owned),
-			Obs:            cfg.reg,
-			Observability:  cfg.observ,
-			ManagerOpts:    cfg.managerOpts(),
-			WAL:            walOpts,
-		})
-		if err != nil {
-			logger.Fatalf("shard %d: %v", i, err)
-		}
-		defer s.Close()
-		locals[i] = s
-		members[i] = s
-		logger.Printf("shard %d up: %d objects (dir %q)", i, len(owned), dir)
-		go core.RunSupervisor(context.Background(), s.Manager(), core.SupervisorConfig{
-			IdleTimeout:     cfg.idle,
-			WaitTimeout:     cfg.waitTO,
-			SleepAbortAfter: cfg.sleepTO,
-		}, 5*time.Second)
-	}
 	logPath := ""
 	if cfg.dataDir != "" {
+		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
+			logger.Fatalf("data dir: %v", err)
+		}
 		logPath = filepath.Join(cfg.dataDir, "coord.wal")
 	}
 	cl, err := shard.NewCluster(shard.Config{
@@ -335,94 +327,11 @@ func runCluster(cfg *config, walOpts ldbs.Options) {
 	if err != nil {
 		logger.Fatalf("cluster: %v", err)
 	}
-	defer cl.Close()
-	if resolved, err := cl.ResolveInDoubt(); err != nil {
-		logger.Fatalf("in-doubt resolution: %v", err)
-	} else if resolved > 0 {
+	resolved, err := cl.ResolveInDoubt()
+	if resolved > 0 {
 		logger.Printf("resolved %d in-doubt cross-shard commits", resolved)
 	}
-	if cfg.dataDir != "" {
-		go func() {
-			t := time.NewTicker(cfg.ckptEvery)
-			defer t.Stop()
-			for range t.C {
-				for i, s := range locals {
-					if err := s.Checkpoint(); err != nil {
-						logger.Printf("checkpoint shard %d: %v", i, err)
-					}
-				}
-			}
-		}()
-	}
-
-	startHTTP(cfg, liveCountBackend(cl))
-	srv := cfg.newFrontEnd(cl)
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("%d in-process shards (data dir %q)", cfg.shards, cfg.dataDir)), func() {
-		cl.Close()
-		for i, s := range locals {
-			if err := s.Checkpoint(); err != nil {
-				logger.Printf("final checkpoint shard %d: %v", i, err)
-			}
-			s.Close()
-		}
-	})
-}
-
-// --- one participant of a multi-process cluster ---
-
-func runParticipant(cfg *config, walOpts ldbs.Options) {
-	logger := cfg.logger
-	if cfg.shardIndex < 0 || cfg.shardIndex >= cfg.shardCount {
-		logger.Fatalf("-shard-index %d out of range for -shard-count %d", cfg.shardIndex, cfg.shardCount)
-	}
-	ring := shard.NewRing(cfg.shardCount)
-	owned := ownedRefs(ring, cfg.shardIndex)
-	s, err := shard.OpenLocal(shard.LocalConfig{
-		Index:          cfg.shardIndex,
-		Dir:            cfg.dataDir,
-		Store:          cfg.store,
-		PageCacheBytes: cfg.pageCache,
-		Schemas:        demoSchemas(),
-		Seed:           func(db *ldbs.DB) error { return seedDemo(db, owned, cfg.seats) },
-		Objects:        objectMap(owned),
-		Obs:            cfg.reg,
-		Observability:  cfg.observ,
-		ManagerOpts:    cfg.managerOpts(),
-		WAL:            walOpts,
-	})
-	if err != nil {
-		logger.Fatalf("shard %d: %v", cfg.shardIndex, err)
-	}
-	defer s.Close()
-	logger.Printf("participant %d/%d: %d owned objects", cfg.shardIndex, cfg.shardCount, len(owned))
-	if cfg.dataDir != "" {
-		go func() {
-			t := time.NewTicker(cfg.ckptEvery)
-			defer t.Stop()
-			for range t.C {
-				if err := s.Checkpoint(); err != nil {
-					logger.Printf("checkpoint: %v", err)
-				}
-			}
-		}()
-	}
-	m := s.Manager()
-	stopRepl := startReplSource(cfg, s.DB())
-	startHTTP(cfg, liveCount(m))
-	go core.RunSupervisor(context.Background(), m, core.SupervisorConfig{
-		IdleTimeout:     cfg.idle,
-		WaitTimeout:     cfg.waitTO,
-		SleepAbortAfter: cfg.sleepTO,
-	}, 5*time.Second)
-
-	srv := cfg.newFrontEnd(wire.NewManagerBackend(m))
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("participant %d/%d (data dir %q)", cfg.shardIndex, cfg.shardCount, cfg.dataDir)), func() {
-		stopRepl()
-		if err := s.Checkpoint(); err != nil {
-			logger.Printf("final checkpoint: %v", err)
-		}
-		s.Close()
-	})
+	return cl, err
 }
 
 // --- replication: WAL shipping to followers, and the follower itself ---
@@ -435,9 +344,6 @@ func startReplSource(cfg *config, db *ldbs.DB) func() {
 		return func() {}
 	}
 	logger := cfg.logger
-	if cfg.dataDir == "" {
-		logger.Fatal("-repl-listen requires -data: the fencing epoch lives in the data directory")
-	}
 	epoch, err := ldbs.ReadReplEpoch(cfg.dataDir)
 	if err != nil {
 		logger.Fatalf("replication epoch: %v", err)
@@ -490,9 +396,6 @@ func startReplSource(cfg *config, db *ldbs.DB) func() {
 // accepting writes under the same object space is a split brain.
 func runFollower(cfg *config) {
 	logger := cfg.logger
-	if cfg.dataDir == "" {
-		logger.Fatal("-replica-of requires -data for the follower's own directory")
-	}
 	rep, err := ldbs.OpenReplica(ldbs.ReplicaOptions{
 		Dir:            cfg.dataDir,
 		Schemas:        shard.HiddenSchemas(demoSchemas()),
@@ -540,40 +443,20 @@ func runFollower(cfg *config) {
 // --- router over remote participants ---
 
 func runRouter(cfg *config) {
-	logger := cfg.logger
 	addrs := strings.Split(cfg.route, ",")
 	members := make([]shard.Shard, len(addrs))
 	for i, a := range addrs {
 		members[i] = shard.NewRemoteShard(i, strings.TrimSpace(a))
 	}
-	logPath := ""
-	if cfg.dataDir != "" {
-		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
-			logger.Fatalf("data dir: %v", err)
-		}
-		logPath = filepath.Join(cfg.dataDir, "coord.wal")
-	}
-	cl, err := shard.NewCluster(shard.Config{
-		Shards:       members,
-		CoordLogPath: logPath,
-		Obs:          cfg.reg,
-		Logger:       logger,
-	})
+	cl, err := openCluster(cfg, members)
 	if err != nil {
-		logger.Fatalf("cluster: %v", err)
-	}
-	defer cl.Close()
-	if resolved, err := cl.ResolveInDoubt(); err != nil {
 		// Participants may still be coming up; decisions stay pending and
 		// a later resolution (or restart) completes them.
-		logger.Printf("in-doubt resolution incomplete (%v) — %d pending", err, len(cl.InDoubt()))
-	} else if resolved > 0 {
-		logger.Printf("resolved %d in-doubt cross-shard commits", resolved)
+		cfg.logger.Printf("in-doubt resolution incomplete (%v) — %d pending", err, len(cl.InDoubt()))
 	}
 
 	startHTTP(cfg, liveCountBackend(cl))
-	srv := cfg.newFrontEnd(cl)
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("router over %d participants %v", len(addrs), addrs)), func() {
+	serveWithDrain(cfg, cfg.newFrontEnd(cl), cfg.banner(fmt.Sprintf("router over %d participants %v", len(addrs), addrs)), func() {
 		cl.Close()
 	})
 }
@@ -595,9 +478,6 @@ func (cfg *config) newFrontEnd(b wire.Backend) frontEnd {
 			Logger:           cfg.logger,
 			Obs:              cfg.reg,
 			InvokeTimeout:    cfg.invokeTO,
-			Lanes:            cfg.gwLanes,
-			LaneDepth:        cfg.gwLaneDepth,
-			LaneWorkers:      cfg.gwWorkers,
 			MaxSessions:      cfg.gwSessions,
 			Rate:             cfg.gwRate,
 			Burst:            cfg.gwBurst,
@@ -615,19 +495,6 @@ func (cfg *config) banner(mode string) string {
 		return "gateway over " + mode
 	}
 	return mode
-}
-
-// liveCount counts a manager's non-terminal transactions.
-func liveCount(m *core.Manager) func() float64 {
-	return func() float64 {
-		var n int
-		for _, ti := range m.Transactions() {
-			if !ti.State.Terminal() {
-				n++
-			}
-		}
-		return float64(n)
-	}
 }
 
 // liveCountBackend counts a backend's non-terminal transactions.
@@ -755,15 +622,6 @@ func demoSchemas() []ldbs.Schema {
 	return out
 }
 
-func createDemoSchema(db *ldbs.DB) error {
-	for _, s := range demoSchemas() {
-		if err := db.CreateTable(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // seedDemo idempotently inserts the given resources at `seats` each.
 func seedDemo(db *ldbs.DB, refs []demoRef, seats int64) error {
 	ctx := context.Background()
@@ -778,13 +636,4 @@ func seedDemo(db *ldbs.DB, refs []demoRef, seats int64) error {
 		}
 	}
 	return tx.Commit(ctx)
-}
-
-func registerDemoObjects(m *core.Manager, refs []demoRef) error {
-	for _, d := range refs {
-		if err := m.RegisterAtomicObject(core.ObjectID(d.object), d.ref); err != nil {
-			return err
-		}
-	}
-	return nil
 }

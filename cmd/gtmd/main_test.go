@@ -1,16 +1,19 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"preserial/internal/sem"
+	"preserial/internal/shard"
 	"preserial/internal/wire"
 )
 
@@ -244,9 +247,171 @@ func TestGTMDBinaryDisconnectSleep(t *testing.T) {
 	}
 }
 
-// TestGTMDRemovedFlagsStayRemoved: the commit-pipeline knobs that became
-// constants are rejected by the flag package, so one cannot drift back in
-// unnoticed.
+// crossShardPair returns two demo objects the ring of n shards routes to
+// shards 0 and 1.
+func crossShardPair(t *testing.T, n int) (string, string) {
+	t.Helper()
+	ring := shard.NewRing(n)
+	var on [2]string
+	for _, d := range demoRefs() {
+		if i := ring.Route(d.object); i < 2 && on[i] == "" {
+			on[i] = d.object
+		}
+	}
+	if on[0] == "" || on[1] == "" {
+		t.Fatalf("no demo object pair spans shards 0 and 1: %v", on)
+	}
+	return on[0], on[1]
+}
+
+// book commits one transaction taking a seat from every object.
+func book(t *testing.T, cn *wire.Conn, tx string, objects ...string) {
+	t.Helper()
+	if err := cn.Begin(tx); err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range objects {
+		if err := cn.Invoke(tx, obj, sem.AddSub, ""); err != nil {
+			t.Fatalf("invoke %s: %v", obj, err)
+		}
+		if err := cn.Apply(tx, obj, sem.Int(-1)); err != nil {
+			t.Fatalf("apply %s: %v", obj, err)
+		}
+	}
+	if err := cn.Commit(tx); err != nil {
+		t.Fatalf("commit %s: %v", tx, err)
+	}
+}
+
+// wantSeats reads every object in one transaction and checks its value.
+func wantSeats(t *testing.T, cn *wire.Conn, tx string, want int64, objects ...string) {
+	t.Helper()
+	if err := cn.Begin(tx); err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range objects {
+		if err := cn.Invoke(tx, obj, sem.Read, ""); err != nil {
+			t.Fatalf("invoke %s: %v", obj, err)
+		}
+		v, err := cn.Read(tx, obj)
+		if err != nil {
+			t.Fatalf("read %s: %v", obj, err)
+		}
+		if v.Int64() != want {
+			t.Fatalf("%s = %s, want %d", obj, v, want)
+		}
+	}
+	if err := cn.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGTMDBinaryShardModes drives one cross-shard booking through the two
+// sharded deployments: every shard in one process (surviving kill -9 and a
+// restart on the same directory), and one process per participant behind a
+// router.
+func TestGTMDBinaryShardModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary test skipped in -short mode")
+	}
+	bin := buildGTMD(t)
+	a, b := crossShardPair(t, 2)
+
+	t.Run("in-process", func(t *testing.T) {
+		dataDir := t.TempDir()
+		addr := freePort(t)
+		cmd := startGTMD(t, bin, "-addr", addr, "-shards", "2", "-data", dataDir, "-seats", "100")
+		cn := waitReachable(t, addr)
+		book(t, cn, "trip", a, b)
+		stats, err := cn.Stats()
+		if err != nil || stats["cluster_cross_commits"] != 1 {
+			t.Fatalf("stats = %v, %v; want one cross-shard commit", stats, err)
+		}
+		cn.Close()
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = cmd.Process.Wait()
+		for _, name := range []string{"shard-0", "shard-1", "coord.wal"} {
+			if _, err := os.Stat(filepath.Join(dataDir, name)); err != nil {
+				t.Fatalf("data layout: %v", err)
+			}
+		}
+
+		addr2 := freePort(t)
+		startGTMD(t, bin, "-addr", addr2, "-shards", "2", "-data", dataDir, "-seats", "100")
+		cn2 := waitReachable(t, addr2)
+		defer cn2.Close()
+		wantSeats(t, cn2, "check", 99, a, b)
+	})
+
+	t.Run("participants+router", func(t *testing.T) {
+		var parts []string
+		for i := 0; i < 2; i++ {
+			addr := freePort(t)
+			startGTMD(t, bin, "-addr", addr, "-shards", "2", "-shard-index", strconv.Itoa(i),
+				"-data", t.TempDir(), "-seats", "100")
+			waitReachable(t, addr).Close()
+			parts = append(parts, addr)
+		}
+		router := freePort(t)
+		startGTMD(t, bin, "-addr", router, "-route", strings.Join(parts, ","), "-data", t.TempDir())
+		cn := waitReachable(t, router)
+		defer cn.Close()
+		book(t, cn, "trip", a, b)
+		stats, err := cn.Stats()
+		if err != nil || stats["cluster_cross_commits"] != 1 {
+			t.Fatalf("stats = %v, %v; want one cross-shard commit", stats, err)
+		}
+		for i, obj := range []string{a, b} {
+			pc := waitReachable(t, parts[i])
+			wantSeats(t, pc, "check", 99, obj)
+			pc.Close()
+		}
+	})
+}
+
+// TestGTMDRejectsIgnoredFlags: flag combinations gtmd would otherwise
+// ignore (or half-honor) make it exit non-zero, naming the flag, before it
+// opens anything.
+func TestGTMDRejectsIgnoredFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary test skipped in -short mode")
+	}
+	bin := buildGTMD(t)
+	data := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"index-without-shards", []string{"-shard-index", "3"}, "-shard-index"},
+		{"index-past-shards", []string{"-shards", "2", "-shard-index", "2"}, "-shard-index"},
+		{"index-below-minus-one", []string{"-shards", "2", "-shard-index", "-2"}, "-shard-index"},
+		{"repl-listen-several-shards", []string{"-shards", "2", "-data", data, "-repl-listen", "127.0.0.1:0"}, "-repl-listen"},
+		{"repl-listen-router", []string{"-route", "127.0.0.1:1", "-repl-listen", "127.0.0.1:0", "-data", data}, "-repl-listen"},
+		{"repl-async-alone", []string{"-repl-async"}, "-repl-async"},
+		{"promote-without-replica", []string{"-promote-on-exit", "-data", data}, "-promote-on-exit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			args := append([]string{"-addr", freePort(t)}, tc.args...)
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if ctx.Err() != nil || !errors.As(err, &exit) || exit.ExitCode() == 0 {
+				t.Fatalf("gtmd %v: err = %v, want a non-zero exit\n%s", tc.args, err, out)
+			}
+			if !strings.Contains(string(out), tc.flag) {
+				t.Fatalf("gtmd %v printed %q, want it to name %s", tc.args, out, tc.flag)
+			}
+		})
+	}
+}
+
+// TestGTMDRemovedFlagsStayRemoved: knobs that became constants (or, for
+// -shard-count, a different spelling) are rejected by the flag package, so
+// one cannot drift back in unnoticed.
 func TestGTMDRemovedFlagsStayRemoved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary test skipped in -short mode")
@@ -257,6 +422,14 @@ func TestGTMDRemovedFlagsStayRemoved(t *testing.T) {
 		{"-epoch-window", "2ms"},
 		{"-wal-group-commit=false"},
 		{"-wal-group-window", "1ms"},
+		{"-sst-workers", "4"},
+		{"-sst-queue-depth", "64"},
+		{"-trace-depth", "4096"},
+		{"-wal-sync-delay", "2ms"},
+		{"-gw-lanes", "8"},
+		{"-gw-lane-depth", "256"},
+		{"-gw-lane-workers", "8"},
+		{"-shard-count", "2"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
 			out, err := exec.Command(bin, args...).CombinedOutput()

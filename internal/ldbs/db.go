@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"preserial/internal/ldbs/store"
 	"preserial/internal/ldbs/store/mem"
@@ -37,12 +36,6 @@ type Options struct {
 	// its commit LSN completes — a batch of one when nothing else is
 	// committing.
 	WAL io.Writer
-	// SyncDelay adds a fixed pause to every WAL sync, emulating slow stable
-	// storage (mobile-class flash syncs in milliseconds, not the tens of
-	// microseconds a developer NVMe reports). Group commit amortizes the
-	// delay across a batch exactly as it amortizes a real fsync. Zero (the
-	// default) adds nothing.
-	SyncDelay time.Duration
 	// Obs, when non-nil, receives live engine metrics (WAL fsync count and
 	// latency, lock waits and wait latency, deadlocks, group-commit batch
 	// sizes) under ldbs_* names.
@@ -104,7 +97,6 @@ func Open(opts Options) *DB {
 	}
 	if opts.WAL != nil {
 		db.log = newWAL(opts.WAL)
-		db.log.syncDelay = opts.SyncDelay
 	}
 	if opts.Obs != nil {
 		db.obsDeadlocks = opts.Obs.Counter(obs.NameLDBSDeadlocks, "Lock waits refused because they would close a wait-for cycle.")

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"preserial/internal/ldbs/store"
 	"preserial/internal/obs"
@@ -51,9 +50,6 @@ type Persistence struct {
 	// and to the storage driver (store_* metrics).
 	Obs *obs.Registry
 
-	// SyncDelay is passed to the recovered DB (see Options.SyncDelay).
-	SyncDelay time.Duration
-
 	wal    *os.File
 	driver store.Driver
 }
@@ -93,7 +89,7 @@ func (p *Persistence) Open(schemas []Schema) (*DB, error) {
 		driver.Close()
 		return nil, fmt.Errorf("ldbs: open WAL: %w", err)
 	}
-	db := Open(Options{WAL: walFile, Obs: p.Obs, Store: driver, SyncDelay: p.SyncDelay})
+	db := Open(Options{WAL: walFile, Obs: p.Obs, Store: driver})
 	fail := func(err error) (*DB, error) {
 		walFile.Close()
 		driver.Close()

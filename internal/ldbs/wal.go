@@ -244,8 +244,6 @@ type wal struct {
 	lsn     uint64 // records appended
 	commits uint64 // commit frames appended (group-commit accounting)
 
-	syncDelay time.Duration // emulated stable-storage latency per sync (see Options.SyncDelay)
-
 	// Coordinator state, guarded by syncMu (never held across I/O).
 	syncMu        sync.Mutex
 	syncCond      *sync.Cond
@@ -393,9 +391,6 @@ func (l *wal) flushAndSync() (coveredLSN, coveredCommits uint64, err error) {
 		start := time.Now()
 		if err := s.Sync(); err != nil {
 			return 0, 0, fmt.Errorf("ldbs: wal sync: %w", err)
-		}
-		if l.syncDelay > 0 {
-			time.Sleep(l.syncDelay)
 		}
 		if l.syncs != nil {
 			l.syncs.Inc()

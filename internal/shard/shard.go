@@ -141,9 +141,6 @@ type LocalConfig struct {
 	Observability *core.Observability
 	// ManagerOpts are extra core.Manager options (executors, policies).
 	ManagerOpts []core.Option
-	// WAL carries the shard's emulated sync latency. Only the SyncDelay
-	// field is honored; the WAL destination comes from Dir.
-	WAL ldbs.Options
 }
 
 // LocalShard is an in-process GTM+LDBS partition. Kill and Restart model
@@ -211,14 +208,13 @@ func (s *LocalShard) start() error {
 	)
 	if s.cfg.Dir != "" {
 		pers = &ldbs.Persistence{Dir: s.cfg.Dir, Obs: s.cfg.Obs,
-			Store: s.cfg.Store, PageCacheBytes: s.cfg.PageCacheBytes,
-			SyncDelay: s.cfg.WAL.SyncDelay}
+			Store: s.cfg.Store, PageCacheBytes: s.cfg.PageCacheBytes}
 		db, err = pers.Open(schemas)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s.cfg.Index, err)
 		}
 	} else {
-		db = ldbs.Open(ldbs.Options{Obs: s.cfg.Obs, SyncDelay: s.cfg.WAL.SyncDelay})
+		db = ldbs.Open(ldbs.Options{Obs: s.cfg.Obs})
 		for _, sc := range schemas {
 			if err := db.CreateTable(sc); err != nil {
 				return fmt.Errorf("shard %d: %w", s.cfg.Index, err)

@@ -13,8 +13,10 @@ build:
 test:
 	$(GO) test ./...
 
-# go vet plus gtmlint, the repo's own concurrency-invariant checkers
-# (see docs/STATIC_ANALYSIS.md). The analyzer binary is cached in bin/
+# gofmt, go vet and gtmlint (the repo's own concurrency-invariant checkers,
+# see docs/STATIC_ANALYSIS.md). The analyzer fixtures under
+# internal/lint/testdata are exempt from gofmt: their `// want` comments
+# are anchored to source lines. The analyzer binary is cached in bin/
 # keyed on a content hash of its sources: bin/gtmlint-<hash> is the
 # real binary, bin/gtmlint a symlink to the current one. An mtime-only
 # dependency rebuilds on checkout/branch switches even when nothing
@@ -32,6 +34,8 @@ $(GTMLINT):
 
 lint: $(GTMLINT)
 	@ln -sf $(notdir $(GTMLINT)) $(BIN)/gtmlint
+	@unformatted=$$(gofmt -l bench cmd examples internal *.go | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(BIN)/gtmlint ./...
 

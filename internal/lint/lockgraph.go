@@ -399,7 +399,7 @@ func lgScanBody(p *Package, n *lgNode, body *ast.BlockStmt, held []string) []*lg
 	// descends into the statement.
 	goLits := make(map[*ast.FuncLit]bool)
 	deferLits := make(map[*ast.FuncLit]bool)
-	invokedLits := make(map[*ast.FuncLit]bool)  // func(){...}() — runs here, under the current held set
+	invokedLits := make(map[*ast.FuncLit]bool)    // func(){...}() — runs here, under the current held set
 	argLitCallee := make(map[*ast.FuncLit]string) // f(func(){...}) — callee name decides when it runs
 	handled := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(x ast.Node) bool {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"preserial/internal/core"
@@ -49,11 +48,6 @@ type Cluster struct {
 	// decision hit the coordinator WAL. Chaos tests kill shards here.
 	HookAfterPrepare func(tx string)
 	HookAfterLog     func(tx string)
-
-	singleCommits atomic.Uint64
-	crossCommits  atomic.Uint64
-	prepares      atomic.Uint64
-	replays       atomic.Uint64
 
 	mu      sync.Mutex
 	txs     map[string]*clusterTx
@@ -120,9 +114,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			lg.Printf("shard: recovered %d in-doubt decisions from the coordinator log", len(pending))
 		}
 	}
-	if cfg.Obs != nil {
-		cl.metrics = newClusterMetrics(cfg.Obs, cl)
-	}
+	cl.metrics = newClusterMetrics(cfg.Obs, cl)
 	return cl, nil
 }
 
@@ -286,11 +278,7 @@ func (cl *Cluster) Transactions() []wire.TxSummaryJSON {
 	}
 	byTx := make(map[string]*agg)
 	for _, sh := range cl.shards {
-		txs, err := sh.Transactions()
-		if err != nil {
-			continue
-		}
-		for _, ti := range txs {
+		for _, ti := range sh.Transactions() {
 			a := byTx[ti.ID]
 			if a == nil {
 				a = &agg{objects: make(map[string]bool)}
@@ -345,11 +333,7 @@ func (cl *Cluster) Transactions() []wire.TxSummaryJSON {
 func (cl *Cluster) Objects() []string {
 	var out []string
 	for _, sh := range cl.shards {
-		ids, err := sh.Objects()
-		if err != nil {
-			continue
-		}
-		out = append(out, ids...)
+		out = append(out, sh.Objects()...)
 	}
 	sort.Strings(out)
 	return out
@@ -365,11 +349,7 @@ func (cl *Cluster) ObjectInfo(object string) (*wire.ObjectInfoJSON, error) {
 func (cl *Cluster) Stats() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, sh := range cl.shards {
-		st, err := sh.Stats()
-		if err != nil {
-			continue
-		}
-		for k, v := range st {
+		for k, v := range sh.Stats() {
 			out[k] += v
 		}
 	}
@@ -377,10 +357,10 @@ func (cl *Cluster) Stats() map[string]uint64 {
 	inDoubt := uint64(len(cl.pending))
 	cl.mu.Unlock()
 	out["shards"] = uint64(len(cl.shards))
-	out["cluster_single_commits"] = cl.singleCommits.Load()
-	out["cluster_cross_commits"] = cl.crossCommits.Load()
-	out["cluster_2pc_prepares"] = cl.prepares.Load()
-	out["cluster_2pc_replays"] = cl.replays.Load()
+	out["cluster_single_commits"] = cl.metrics.singleCommits.Load()
+	out["cluster_cross_commits"] = cl.metrics.crossCommits.Load()
+	out["cluster_2pc_prepares"] = cl.metrics.prepares.Load()
+	out["cluster_2pc_replays"] = cl.metrics.replays.Load()
 	out["cluster_in_doubt"] = inDoubt
 	return out
 }
@@ -401,17 +381,8 @@ func (cl *Cluster) Topology() []wire.ShardStat {
 
 	out := make([]wire.ShardStat, len(cl.shards))
 	for i, sh := range cl.shards {
-		stat := wire.ShardStat{Index: i, Addr: sh.Addr(), Down: sh.Down()}
-		if ids, err := sh.Objects(); err == nil {
-			stat.Objects = len(ids)
-		}
-		if txs, err := sh.Transactions(); err == nil {
-			for _, ti := range txs {
-				if st, ok := parseState(ti.State); ok && !st.Terminal() {
-					stat.Txs++
-				}
-			}
-		}
+		stat := wire.ShardStat{Index: i, Addr: sh.Addr(), Down: sh.Down(),
+			Objects: len(sh.Objects()), Txs: liveTxs(sh)}
 		stat.InDoubt = inDoubt[i]
 		if rp, ok := sh.(ReplicaInfoProvider); ok {
 			if info, ok := rp.ReplicaInfo(); ok {
@@ -454,9 +425,6 @@ type FailoverConfig struct {
 	// a follower (a ReplicaShard pair) is promoted, then the coordinator's
 	// logged in-doubt decisions are driven to resolution on it.
 	Promote bool
-	// OnPromote, when set, runs after a successful promotion — the
-	// multi-process router repoints the shard's address here (SetAddr).
-	OnPromote func(shard int)
 }
 
 // StartFailureDetector heartbeats every shard and (optionally) fails dead
@@ -514,9 +482,7 @@ func (cl *Cluster) heartbeatRound(cfg FailoverConfig) {
 		cl.fdBeats[i].missed++
 		missed := cl.fdBeats[i].missed
 		cl.fdMu.Unlock()
-		if cl.metrics != nil {
-			cl.metrics.heartbeatMisses.Inc()
-		}
+		cl.metrics.heartbeatMisses.Inc()
 		if missed < cfg.Misses || !cfg.Promote {
 			continue
 		}
@@ -532,9 +498,6 @@ func (cl *Cluster) heartbeatRound(cfg FailoverConfig) {
 		cl.fdMu.Lock()
 		cl.fdBeats[i] = fdBeat{lastOK: time.Now(), missed: 0}
 		cl.fdMu.Unlock()
-		if cfg.OnPromote != nil {
-			cfg.OnPromote(i)
-		}
 		// The promoted stack replays the coordinator's logged decisions so
 		// in-doubt cross-shard transactions resolve through the failover.
 		if n, err := cl.ResolveInDoubt(); err != nil {
@@ -627,10 +590,7 @@ func (cl *Cluster) resolveParticipant(tx string, p Participant) error {
 		return err
 	}
 	if applied {
-		cl.replays.Add(1)
-		if cl.metrics != nil {
-			cl.metrics.replays.Inc()
-		}
+		cl.metrics.replays.Inc()
 		cl.logger.Printf("shard: replayed decided writes of %s on shard %d", tx, p.Shard)
 	}
 	return nil
@@ -850,11 +810,8 @@ func (t *clusterTx) Commit(ctx context.Context) error {
 			t.record(core.StateAborted, "")
 			return err
 		}
-		cl.singleCommits.Add(1)
-		if cl.metrics != nil {
-			cl.metrics.singleCommits.Inc()
-			cl.metrics.perShard[subs[0].idx].Inc()
-		}
+		cl.metrics.singleCommits.Inc()
+		cl.metrics.perShard[subs[0].idx].Inc()
 		t.record(core.StateCommitted, "")
 		return nil
 	}
@@ -874,16 +831,11 @@ func (t *clusterTx) Commit(ctx context.Context) error {
 					_ = other.sess.Abort()
 				}
 			}
-			if cl.metrics != nil {
-				cl.metrics.decidesAbort.Inc()
-			}
+			cl.metrics.decidesAbort.Inc()
 			t.record(core.StateAborted, "")
 			return fmt.Errorf("shard: prepare of %s on shard %d: %w", t.id, sub.idx, err)
 		}
-		cl.prepares.Add(1)
-		if cl.metrics != nil {
-			cl.metrics.prepares.Inc()
-		}
+		cl.metrics.prepares.Inc()
 		participants = append(participants, Participant{
 			Shard:  sub.idx,
 			Marker: MarkerWrite(t.id),
@@ -900,18 +852,14 @@ func (t *clusterTx) Commit(ctx context.Context) error {
 		for _, sub := range subs {
 			_ = sub.sess.Decide(ctx, false, nil)
 		}
-		if cl.metrics != nil {
-			cl.metrics.decidesAbort.Inc()
-		}
+		cl.metrics.decidesAbort.Inc()
 		t.record(core.StateAborted, "")
 		return fmt.Errorf("shard: logging decision of %s: %w", t.id, err)
 	}
 	cl.mu.Lock()
 	cl.pending[t.id] = d
 	cl.mu.Unlock()
-	if cl.metrics != nil {
-		cl.metrics.decidesCommit.Inc()
-	}
+	cl.metrics.decidesCommit.Inc()
 	if cl.HookAfterLog != nil {
 		cl.HookAfterLog(t.id)
 	}
@@ -923,20 +871,13 @@ func (t *clusterTx) Commit(ctx context.Context) error {
 	for k, sub := range subs {
 		if err := sub.sess.Decide(ctx, true, []wire.SSTWriteJSON{participants[k].Marker}); err != nil {
 			lagging = true
-			if cl.metrics != nil {
-				cl.metrics.decideFails.Inc()
-			}
+			cl.metrics.decideFails.Inc()
 			cl.logger.Printf("shard: decide of %s on shard %d failed (will resolve): %v", t.id, sub.idx, err)
 			continue
 		}
-		if cl.metrics != nil {
-			cl.metrics.perShard[sub.idx].Inc()
-		}
+		cl.metrics.perShard[sub.idx].Inc()
 	}
-	cl.crossCommits.Add(1)
-	if cl.metrics != nil {
-		cl.metrics.crossCommits.Inc()
-	}
+	cl.metrics.crossCommits.Inc()
 	t.record(core.StateCommitted, "")
 	if !lagging {
 		if err := cl.log.LogDone(t.id); err == nil {
@@ -998,20 +939,35 @@ func parseState(name string) (core.State, bool) {
 	return st, ok
 }
 
-// clusterMetrics is the coordinator's live metric set.
+// liveTxs counts a shard's non-terminal transactions.
+func liveTxs(sh Shard) int {
+	var n int
+	for _, ti := range sh.Transactions() {
+		if st, ok := parseState(ti.State); ok && !st.Terminal() {
+			n++
+		}
+	}
+	return n
+}
+
+// clusterMetrics is the coordinator's metric set. It always exists —
+// Stats reads it — and is registered on Config.Obs when one is given.
 type clusterMetrics struct {
-	singleCommits *obs.Counter // shard_commits_total{path="single"}
-	crossCommits  *obs.Counter // shard_commits_total{path="cross"}
-	perShard      []*obs.Counter
-	prepares      *obs.Counter
-	decidesCommit *obs.Counter
-	decidesAbort  *obs.Counter
+	singleCommits   *obs.Counter // shard_commits_total{path="single"}
+	crossCommits    *obs.Counter // shard_commits_total{path="cross"}
+	perShard        []*obs.Counter
+	prepares        *obs.Counter
+	decidesCommit   *obs.Counter
+	decidesAbort    *obs.Counter
 	decideFails     *obs.Counter
 	replays         *obs.Counter
 	heartbeatMisses *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry, cl *Cluster) *clusterMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry() // private: nothing scrapes it
+	}
 	m := &clusterMetrics{
 		singleCommits: reg.Counter(obs.WithLabel(obs.NameShardCommits, "path", "single"),
 			"Cluster commits by path (single-shard fast path vs cross-shard 2PC)."),
@@ -1036,28 +992,10 @@ func newClusterMetrics(reg *obs.Registry, cl *Cluster) *clusterMetrics {
 		i, sh := i, sh
 		reg.GaugeFunc(obs.WithLabel(obs.NameShardTxLive, "shard", strconv.Itoa(i)),
 			"Live (non-terminal) transactions per shard.",
-			func() float64 {
-				txs, err := sh.Transactions()
-				if err != nil {
-					return 0
-				}
-				var n int
-				for _, ti := range txs {
-					if st, ok := parseState(ti.State); ok && !st.Terminal() {
-						n++
-					}
-				}
-				return float64(n)
-			})
+			func() float64 { return float64(liveTxs(sh)) })
 		reg.GaugeFunc(obs.WithLabel(obs.NameShardObjects, "shard", strconv.Itoa(i)),
 			"Objects owned per shard.",
-			func() float64 {
-				ids, err := sh.Objects()
-				if err != nil {
-					return 0
-				}
-				return float64(len(ids))
-			})
+			func() float64 { return float64(len(sh.Objects())) })
 	}
 	reg.GaugeFunc(obs.NameShard2PCInDoubt,
 		"Logged decisions not yet durable on every participant.",

@@ -707,7 +707,7 @@ func benchCluster(b *testing.B, n int) {
 			Index:   i,
 			Dir:     b.TempDir(),
 			Schemas: []ldbs.Schema{seatSchema()},
-			Seed:    seatSeeder(keys[i], 1 << 40),
+			Seed:    seatSeeder(keys[i], 1<<40),
 			Objects: objs,
 		})
 		if err != nil {

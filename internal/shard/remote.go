@@ -19,12 +19,12 @@ const (
 	remoteCallTimeout = 30 * time.Second
 )
 
-// Control-plane retry policy: after a failover the router repoints the
-// shard (SetAddr) and in-flight control calls retry against the new
-// primary with capped backoff instead of failing the first probe.
+// Control-plane retry policy: a transport failure (a participant
+// restarting, a dropped connection) redials with capped backoff instead of
+// failing the first probe.
 const (
-	remoteCtlAttempts = 4
-	remoteCtlBackoff  = 25 * time.Millisecond
+	remoteCtlAttempts   = 4
+	remoteCtlBackoff    = 25 * time.Millisecond
 	remoteCtlBackoffMax = 200 * time.Millisecond
 )
 
@@ -65,24 +65,6 @@ func (r *RemoteShard) Down() bool {
 	return r.down
 }
 
-// SetAddr repoints the shard at a new participant address — the failover
-// path: after a follower is promoted, the router swaps the address and the
-// next call (including a withCtl retry) dials the new primary. The stale
-// control connection is dropped.
-func (r *RemoteShard) SetAddr(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.addr == addr {
-		return
-	}
-	r.addr = addr
-	if r.ctl != nil {
-		r.ctl.Close()
-		r.ctl = nil
-	}
-	r.down = false
-}
-
 // Ping implements Shard: one liveness probe over the control connection.
 func (r *RemoteShard) Ping() error {
 	return r.withCtl(func(cn *wire.Conn) error { return cn.Ping() })
@@ -109,9 +91,8 @@ func (r *RemoteShard) setUp() {
 
 // withCtl runs one control-plane call, dialing the control connection on
 // demand and retrying transport failures with capped backoff — a stale
-// connection redials immediately; a dead or failing-over shard gets a few
-// spaced attempts (SetAddr between them repoints the next dial) before the
-// call surfaces ErrShardDown.
+// connection redials immediately; a dead or restarting shard gets a few
+// spaced attempts before the call surfaces ErrShardDown.
 func (r *RemoteShard) withCtl(fn func(cn *wire.Conn) error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -216,26 +197,25 @@ func (r *RemoteShard) Sleep(tx string) error {
 // sweeps; the router has nothing to do.
 func (r *RemoteShard) Sweep(time.Duration) []string { return nil }
 
-// Transactions implements Shard.
-func (r *RemoteShard) Transactions() ([]wire.TxSummaryJSON, error) {
+// Transactions implements Shard; nil when the call fails (a transport
+// failure also marks the shard down).
+func (r *RemoteShard) Transactions() []wire.TxSummaryJSON {
 	var txs []wire.TxSummaryJSON
-	err := r.withCtl(func(cn *wire.Conn) error {
-		t, err := cn.Transactions()
-		txs = t
+	_ = r.withCtl(func(cn *wire.Conn) (err error) {
+		txs, err = cn.Transactions()
 		return err
 	})
-	return txs, err
+	return txs
 }
 
-// Objects implements Shard.
-func (r *RemoteShard) Objects() ([]string, error) {
+// Objects implements Shard; nil when the call fails.
+func (r *RemoteShard) Objects() []string {
 	var ids []string
-	err := r.withCtl(func(cn *wire.Conn) error {
-		o, err := cn.Objects()
-		ids = o
+	_ = r.withCtl(func(cn *wire.Conn) (err error) {
+		ids, err = cn.Objects()
 		return err
 	})
-	return ids, err
+	return ids
 }
 
 // ObjectInfo implements Shard.
@@ -249,15 +229,14 @@ func (r *RemoteShard) ObjectInfo(object string) (*wire.ObjectInfoJSON, error) {
 	return info, err
 }
 
-// Stats implements Shard.
-func (r *RemoteShard) Stats() (map[string]uint64, error) {
+// Stats implements Shard; nil when the call fails.
+func (r *RemoteShard) Stats() map[string]uint64 {
 	var st map[string]uint64
-	err := r.withCtl(func(cn *wire.Conn) error {
-		s, err := cn.Stats()
-		st = s
+	_ = r.withCtl(func(cn *wire.Conn) (err error) {
+		st, err = cn.Stats()
 		return err
 	})
-	return st, err
+	return st
 }
 
 // Close hangs up the control connection.

@@ -303,3 +303,31 @@ func TestReplicaShardRestartReconstructsSleeper(t *testing.T) {
 		t.Fatalf("Free = %d, want 6", got)
 	}
 }
+
+// TestReplicaShardCommitBeginsOneLDBSTx: committing a transaction that
+// never slept costs one LDBS transaction — its SST — and no sleep-journal
+// probe.
+func TestReplicaShardCommitBeginsOneLDBSTx(t *testing.T) {
+	rc := newReplicaCluster(t, 1, 1, 10, false)
+	ctx := context.Background()
+	obj := core.ObjectID(objectID(rc.keys[0][0]))
+	s := rc.shards[0]
+
+	sess, err := s.Begin("awake-all-along")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Invoke(ctx, obj, sem.Op{Class: sem.AddSub}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Apply(obj, sem.Int(-1)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.DB().Stats().Begun
+	if err := sess.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DB().Stats().Begun - before; got != 1 {
+		t.Fatalf("commit began %d LDBS transactions, want 1", got)
+	}
+}

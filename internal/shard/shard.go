@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -42,8 +41,9 @@ func markerSchema() ldbs.Schema {
 // SleepTable is the hidden LDBS table journaling sleeping transactions:
 // one row per sleeping transaction, keyed by transaction id, holding the
 // granted invocations and applied operands as JSON. The rows ride the WAL
-// — and therefore the replication stream — so a promoted follower can
-// reconstruct its primary's sleeping transactions instead of losing them.
+// — and therefore the replication stream — so a restarted shard, or a
+// promoted follower, reconstructs its sleeping transactions instead of
+// losing them.
 const SleepTable = "__sleep"
 
 // SleepColumn is the sleep table's single column.
@@ -100,14 +100,15 @@ type Shard interface {
 	// Sweep forgets long-terminal sub-transactions. Remote shards sweep
 	// themselves (their own server's retention loop) and return nil.
 	Sweep(olderThan time.Duration) []string
-	// Transactions snapshots the shard's registry.
-	Transactions() ([]wire.TxSummaryJSON, error)
-	// Objects lists the object ids this shard owns.
-	Objects() ([]string, error)
+	// Transactions snapshots the shard's registry; nil while the shard is
+	// down or unreachable.
+	Transactions() []wire.TxSummaryJSON
+	// Objects lists the object ids this shard owns; nil while down.
+	Objects() []string
 	// ObjectInfo snapshots one owned object.
 	ObjectInfo(object string) (*wire.ObjectInfoJSON, error)
-	// Stats returns the shard's counters.
-	Stats() (map[string]uint64, error)
+	// Stats returns the shard's counters; nil while down.
+	Stats() map[string]uint64
 }
 
 // LocalConfig describes one in-process shard.
@@ -146,12 +147,52 @@ type LocalConfig struct {
 // LocalShard is an in-process GTM+LDBS partition. Kill and Restart model
 // a shard crash for recovery tests and chaos runs: Kill drops the whole
 // in-memory state (manager, prepared transactions, mirrors), Restart
-// reopens from the persistence directory exactly like a process restart.
+// reopens from the persistence directory exactly like a process restart
+// and reconstructs the sleeping transactions its sleep journal recorded.
+//
+// Every Kill and every (re)start begins a new generation. A session
+// belongs to the generation that began it and fails with ErrShardDown
+// once that generation is gone, so a caller holding it re-resolves
+// instead of talking to a dead manager.
 type LocalShard struct {
-	cfg LocalConfig
+	cfg  LocalConfig
+	logf func(format string, args ...any) // journal and adoption events; silent unless ReplicaConfig.Logf sets it
 
-	mu      sync.Mutex
-	down    bool
+	// lifeMu serializes the coarse lifecycle transitions (Kill, Restart,
+	// Close, and a ReplicaShard's Promote); mu guards the hot-path state
+	// below. A transition tears a whole stack down and builds the next one
+	// up, so lifeMu sits above every other lock in the program — nothing
+	// that holds another lock ever calls back into the lifecycle methods.
+	//
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> shard.LocalShard.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> shard.ReplicaShard.replMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> core.monitor.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> core.Client.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> core.sstExecutor.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> core.mvccState.snapMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.DB.ckptMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.DB.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.lockManager.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.wal.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.wal.syncMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.replHub.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.ReplSource.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.Replica.mu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> store.regMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> store.bindMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> ldbs.replStreamMu
+	//gtmlint:lockorder shard.LocalShard.lifeMu -> obs.Registry.mu
+	lifeMu sync.Mutex
+
+	mu       sync.Mutex
+	gen      uint64 // bumped on every transition; stales old sessions
+	cur      *stack // nil while down
+	sessions map[string]*session
+	adopted  map[string]*adoptedTx
+}
+
+// stack is one generation's GTM+LDBS stack.
+type stack struct {
 	pers    *ldbs.Persistence // nil when running in memory
 	db      *ldbs.DB
 	m       *core.Manager
@@ -163,12 +204,6 @@ type LocalShard struct {
 // already declared them. A standalone follower (gtmd -replica-of) must
 // declare them: its primary's WAL stream references these tables.
 func HiddenSchemas(app []ldbs.Schema) []ldbs.Schema {
-	return withHiddenSchemas(app)
-}
-
-// withHiddenSchemas appends the marker and sleep-journal tables unless the
-// caller already declared them.
-func withHiddenSchemas(app []ldbs.Schema) []ldbs.Schema {
 	schemas := append([]ldbs.Schema{}, app...)
 	hasMarker, hasSleep := false, false
 	for _, sc := range schemas {
@@ -188,49 +223,46 @@ func withHiddenSchemas(app []ldbs.Schema) []ldbs.Schema {
 	return schemas
 }
 
-// OpenLocal builds and starts an in-process shard.
+// OpenLocal builds and starts an in-process shard. A first open does not
+// adopt journaled sleepers; only Restart (and a promotion) does.
 func OpenLocal(cfg LocalConfig) (*LocalShard, error) {
-	s := &LocalShard{cfg: cfg}
-	if err := s.start(); err != nil {
+	s := &LocalShard{cfg: cfg, logf: func(string, ...any) {}}
+	st, err := s.open()
+	if err != nil {
 		return nil, err
 	}
+	s.install(st, nil)
 	return s, nil
 }
 
-// start brings up one generation of the shard's stack.
-func (s *LocalShard) start() error {
-	schemas := withHiddenSchemas(s.cfg.Schemas)
-
-	var (
-		pers *ldbs.Persistence
-		db   *ldbs.DB
-		err  error
-	)
+// open builds one generation's stack from s.cfg without serving it.
+func (s *LocalShard) open() (*stack, error) {
+	schemas := HiddenSchemas(s.cfg.Schemas)
+	st := &stack{}
+	var err error
 	if s.cfg.Dir != "" {
-		pers = &ldbs.Persistence{Dir: s.cfg.Dir, Obs: s.cfg.Obs,
+		st.pers = &ldbs.Persistence{Dir: s.cfg.Dir, Obs: s.cfg.Obs,
 			Store: s.cfg.Store, PageCacheBytes: s.cfg.PageCacheBytes}
-		db, err = pers.Open(schemas)
+		st.db, err = st.pers.Open(schemas)
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", s.cfg.Index, err)
+			return nil, fmt.Errorf("shard %d: %w", s.cfg.Index, err)
 		}
 	} else {
-		db = ldbs.Open(ldbs.Options{Obs: s.cfg.Obs})
+		st.db = ldbs.Open(ldbs.Options{Obs: s.cfg.Obs})
 		for _, sc := range schemas {
-			if err := db.CreateTable(sc); err != nil {
-				return fmt.Errorf("shard %d: %w", s.cfg.Index, err)
+			if err := st.db.CreateTable(sc); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", s.cfg.Index, err)
 			}
 		}
 	}
 	if s.cfg.Seed != nil {
-		if err := s.cfg.Seed(db); err != nil {
-			if pers != nil {
-				pers.Close()
-			}
-			return fmt.Errorf("shard %d: seed: %w", s.cfg.Index, err)
+		if err := s.cfg.Seed(st.db); err != nil {
+			st.close()
+			return nil, fmt.Errorf("shard %d: seed: %w", s.cfg.Index, err)
 		}
 	}
 
-	store := core.NewLDBSStore(db)
+	store := core.NewLDBSStore(st.db)
 	store.UpsertTables = map[string]bool{MarkerTable: true}
 	opts := s.cfg.ManagerOpts
 	if s.cfg.Observability != nil {
@@ -240,7 +272,8 @@ func (s *LocalShard) start() error {
 		opts = append(opts[:len(opts):len(opts)],
 			core.WithObservability(core.NewObservability(s.cfg.Obs, 0)))
 	}
-	m := core.NewManager(store, opts...)
+	st.m = core.NewManager(store, opts...)
+	st.backend = wire.NewManagerBackend(st.m)
 
 	ids := make([]string, 0, len(s.cfg.Objects))
 	for id := range s.cfg.Objects {
@@ -248,98 +281,131 @@ func (s *LocalShard) start() error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if err := m.RegisterAtomicObject(core.ObjectID(id), s.cfg.Objects[id]); err != nil {
-			m.Close()
-			if pers != nil {
-				pers.Close()
-			}
-			return fmt.Errorf("shard %d: register %s: %w", s.cfg.Index, id, err)
+		if err := st.m.RegisterAtomicObject(core.ObjectID(id), s.cfg.Objects[id]); err != nil {
+			st.close()
+			return nil, fmt.Errorf("shard %d: register %s: %w", s.cfg.Index, id, err)
 		}
 	}
+	return st, nil
+}
 
+// close crashes the stack: its manager stops and its persistence closes.
+// A crash takes the callers' connections with it; in process the discarded
+// manager has to let them go itself. Abort what still can abort (prepared
+// and SST-in-flight transactions refuse and stay in doubt), so nobody waits
+// forever on a commit slot or a grant that a dead manager will never hand
+// out.
+func (st *stack) close() {
+	if st.m != nil {
+		st.m.Close()
+		for _, ti := range st.m.Transactions() {
+			if !ti.State.Terminal() {
+				_ = st.m.Abort(ti.ID) // refusal: past its commit point, settled by recovery
+			}
+		}
+	}
+	if st.pers != nil {
+		st.pers.Close()
+	}
+}
+
+// install serves st as the next generation, with its adopted sleepers.
+func (s *LocalShard) install(st *stack, adopted map[string]*adoptedTx) {
 	s.mu.Lock()
-	s.down = false
-	s.pers, s.db, s.m = pers, db, m
-	s.backend = wire.NewManagerBackend(m)
+	s.cur = st
+	s.sessions = make(map[string]*session)
+	s.adopted = adopted
+	s.gen++
 	s.mu.Unlock()
-	return nil
+}
+
+// kill ends the serving generation. Callers hold lifeMu.
+func (s *LocalShard) kill() {
+	s.mu.Lock()
+	st := s.cur
+	s.cur, s.sessions, s.adopted = nil, nil, nil
+	s.gen++
+	s.mu.Unlock()
+	if st != nil {
+		st.close()
+	}
+}
+
+// restartAt crashes whatever generation serves, then opens the next one
+// over dir and reconstructs its journaled sleepers before serving it.
+// Callers hold lifeMu. It returns how many sleepers were adopted.
+func (s *LocalShard) restartAt(dir string) (int, error) {
+	s.kill()
+	s.cfg.Dir = dir
+	st, err := s.open()
+	if err != nil {
+		return 0, err
+	}
+	adopted := s.adoptSleepers(st)
+	s.install(st, adopted)
+	return len(adopted), nil
 }
 
 // Kill crashes the shard: every in-memory structure — live transactions,
 // prepared write sets, permanent-value mirrors — is gone; only what the
-// WAL fsynced survives. Calls on a killed shard fail with ErrShardDown
-// until Restart.
+// WAL fsynced survives, the sleep journal included. Calls on a killed
+// shard fail with ErrShardDown until Restart.
 func (s *LocalShard) Kill() {
-	s.mu.Lock()
-	if s.down {
-		s.mu.Unlock()
-		return
-	}
-	s.down = true
-	pers, m := s.pers, s.m
-	s.pers, s.db, s.m, s.backend = nil, nil, nil, nil
-	s.mu.Unlock()
-	if m != nil {
-		m.Close()
-		// A crash takes the callers' connections with it; in process the
-		// discarded manager has to let them go itself. Abort what still can
-		// abort (prepared and SST-in-flight transactions refuse and stay in
-		// doubt), so nobody waits forever on a commit slot or a grant that a
-		// dead manager will never hand out.
-		for _, ti := range m.Transactions() {
-			if !ti.State.Terminal() {
-				_ = m.Abort(ti.ID) // refusal: past its commit point, settled by recovery
-			}
-		}
-	}
-	if pers != nil {
-		pers.Close()
-	}
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	s.kill()
 }
 
-// Restart recovers the shard from its persistence directory. The caller
-// (the cluster) must resolve in-doubt decisions before routing new work
-// here.
-func (s *LocalShard) Restart() error { return s.start() }
-
-// Checkpoint writes a checkpoint of the shard's database, truncating its
-// WAL. No-op for volatile or down shards.
-func (s *LocalShard) Checkpoint() error {
-	s.mu.Lock()
-	pers, db := s.pers, s.db
-	s.mu.Unlock()
-	if pers == nil || db == nil {
-		return nil
-	}
-	return pers.Checkpoint(db)
+// Restart recovers the shard from its persistence directory and
+// reconstructs its sleeping transactions from the sleep journal. The
+// caller (the cluster) must resolve in-doubt decisions before routing new
+// work here.
+func (s *LocalShard) Restart() error {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	_, err := s.restartAt(s.cfg.Dir)
+	return err
 }
 
 // Close shuts the shard down for good.
 func (s *LocalShard) Close() { s.Kill() }
 
+// Checkpoint writes a checkpoint of the shard's database, truncating its
+// WAL. No-op for volatile or down shards.
+func (s *LocalShard) Checkpoint() error {
+	st, err := s.up()
+	if err != nil || st.pers == nil {
+		return nil
+	}
+	return st.pers.Checkpoint(st.db)
+}
+
 // DB exposes the shard's data layer for oracles and seeding checks; nil
 // while the shard is down.
 func (s *LocalShard) DB() *ldbs.DB {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.db
+	if st, err := s.up(); err == nil {
+		return st.db
+	}
+	return nil
 }
 
 // Manager exposes the shard's GTM; nil while the shard is down.
 func (s *LocalShard) Manager() *core.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m
+	if st, err := s.up(); err == nil {
+		return st.m
+	}
+	return nil
 }
 
-// up returns the current backend and manager, or ErrShardDown.
-func (s *LocalShard) up() (wire.Backend, *core.Manager, error) {
+// up returns the serving stack, or ErrShardDown.
+func (s *LocalShard) up() (*stack, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.down || s.backend == nil {
-		return nil, nil, fmt.Errorf("%w (shard %d)", ErrShardDown, s.cfg.Index)
+	st := s.cur
+	s.mu.Unlock()
+	if st == nil {
+		return nil, fmt.Errorf("%w (shard %d)", ErrShardDown, s.cfg.Index)
 	}
-	return s.backend, s.m, nil
+	return st, nil
 }
 
 // Index implements Shard.
@@ -350,51 +416,50 @@ func (s *LocalShard) Addr() string { return "" }
 
 // Down implements Shard.
 func (s *LocalShard) Down() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.down
+	_, err := s.up()
+	return err != nil
 }
 
 // Ping implements Shard: an in-process shard is alive iff it is up.
 func (s *LocalShard) Ping() error {
-	_, _, err := s.up()
+	_, err := s.up()
 	return err
 }
 
-// localSession adapts the manager backend's session to the shard Session.
-type localSession struct {
-	wire.Session
-	tp wire.TwoPhaseSession
-}
-
-func (l localSession) Prepare(ctx context.Context) ([]wire.SSTWriteJSON, error) {
-	return l.tp.Prepare(ctx)
-}
-func (l localSession) Decide(ctx context.Context, commit bool, extra []wire.SSTWriteJSON) error {
-	return l.tp.Decide(ctx, commit, extra)
-}
-func (l localSession) Release() {}
-
-// Begin implements Shard.
+// Begin implements Shard. A transaction id with an adopted sleeper resumes
+// that sleeper — the re-resolution path after a restart or promotion: the
+// returning client finds its transaction alive on the new generation.
 func (s *LocalShard) Begin(tx string) (Session, error) {
-	b, _, err := s.up()
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	st, gen := s.cur, s.gen
+	a := s.adopted[tx]
+	delete(s.adopted, tx)
+	s.mu.Unlock()
+	if st == nil {
+		return nil, fmt.Errorf("%w (shard %d)", ErrShardDown, s.cfg.Index)
 	}
-	sess, err := b.Begin(tx)
-	if err != nil {
-		return nil, err
+	sess := &session{shard: s, gen: gen, tx: tx}
+	if a != nil {
+		sess.c, sess.ops, sess.journaled = a.client, a.ops, true
+	} else {
+		c, err := st.m.BeginClient(core.TxID(tx))
+		if err != nil {
+			return nil, err
+		}
+		sess.c = c
 	}
-	tp, ok := sess.(wire.TwoPhaseSession)
-	if !ok {
-		return nil, fmt.Errorf("shard %d: backend session lacks two-phase support", s.cfg.Index)
+	s.mu.Lock()
+	if gen == s.gen {
+		s.sessions[tx] = sess
 	}
-	return localSession{Session: sess, tp: tp}, nil
+	s.mu.Unlock()
+	return sess, nil
 }
 
-// Decide implements Shard.
+// Decide implements Shard. The logged decision supersedes any adopted
+// sleeper under the same id.
 func (s *LocalShard) Decide(tx string, commit bool, extra []wire.SSTWriteJSON) error {
-	_, m, err := s.up()
+	st, err := s.up()
 	if err != nil {
 		return err
 	}
@@ -402,12 +467,14 @@ func (s *LocalShard) Decide(tx string, commit bool, extra []wire.SSTWriteJSON) e
 	if err != nil {
 		return err
 	}
-	return m.Decide(core.TxID(tx), commit, ws...)
+	s.dropAdopted(tx)
+	deleteSleepRow(st.db, tx)
+	return st.m.Decide(core.TxID(tx), commit, ws...)
 }
 
-// Replay implements Shard.
+// Replay implements Shard, with the same adopted-sleeper eviction.
 func (s *LocalShard) Replay(tx string, marker wire.SSTWriteJSON, writes []wire.SSTWriteJSON) (bool, error) {
-	_, m, err := s.up()
+	st, err := s.up()
 	if err != nil {
 		return false, err
 	}
@@ -419,68 +486,86 @@ func (s *LocalShard) Replay(tx string, marker wire.SSTWriteJSON, writes []wire.S
 	if err != nil {
 		return false, err
 	}
-	return m.ReplayDecided(core.TxID(tx), mk, ws)
+	s.dropAdopted(tx)
+	deleteSleepRow(st.db, tx)
+	return st.m.ReplayDecided(core.TxID(tx), mk, ws)
 }
 
 // TxState implements Shard.
 func (s *LocalShard) TxState(tx string) (core.State, error) {
-	b, _, err := s.up()
+	st, err := s.up()
 	if err != nil {
 		return 0, err
 	}
-	return b.TxState(tx)
+	return st.backend.TxState(tx)
 }
 
-// Sleep implements Shard.
+// Sleep implements Shard: through the journaling session when one is live,
+// so the by-id disconnection path journals too.
 func (s *LocalShard) Sleep(tx string) error {
-	b, _, err := s.up()
+	s.mu.Lock()
+	sess := s.sessions[tx]
+	s.mu.Unlock()
+	if sess != nil {
+		return sess.Sleep()
+	}
+	st, err := s.up()
 	if err != nil {
 		return err
 	}
-	return b.Sleep(tx)
+	return st.backend.Sleep(tx)
 }
 
 // Sweep implements Shard.
 func (s *LocalShard) Sweep(olderThan time.Duration) []string {
-	b, _, err := s.up()
+	st, err := s.up()
 	if err != nil {
 		return nil
 	}
-	return b.Sweep(olderThan)
+	return st.backend.Sweep(olderThan)
 }
 
 // Transactions implements Shard.
-func (s *LocalShard) Transactions() ([]wire.TxSummaryJSON, error) {
-	b, _, err := s.up()
+func (s *LocalShard) Transactions() []wire.TxSummaryJSON {
+	st, err := s.up()
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return b.Transactions(), nil
+	return st.backend.Transactions()
 }
 
 // Objects implements Shard.
-func (s *LocalShard) Objects() ([]string, error) {
-	b, _, err := s.up()
+func (s *LocalShard) Objects() []string {
+	st, err := s.up()
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return b.Objects(), nil
+	return st.backend.Objects()
 }
 
 // ObjectInfo implements Shard.
 func (s *LocalShard) ObjectInfo(object string) (*wire.ObjectInfoJSON, error) {
-	b, _, err := s.up()
+	st, err := s.up()
 	if err != nil {
 		return nil, err
 	}
-	return b.ObjectInfo(object)
+	return st.backend.ObjectInfo(object)
 }
 
 // Stats implements Shard.
-func (s *LocalShard) Stats() (map[string]uint64, error) {
-	b, _, err := s.up()
+func (s *LocalShard) Stats() map[string]uint64 {
+	st, err := s.up()
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return b.Stats(), nil
+	return st.backend.Stats()
+}
+
+// dropSession forgets a finished session of generation gen.
+func (s *LocalShard) dropSession(gen uint64, tx string) {
+	s.mu.Lock()
+	if gen == s.gen {
+		delete(s.sessions, tx)
+	}
+	s.mu.Unlock()
 }

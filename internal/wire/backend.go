@@ -137,7 +137,7 @@ func ToCoreWrites(ws []SSTWriteJSON) ([]core.SSTWrite, error) {
 
 // NewManagerBackend adapts one core.Manager to the Backend contract. The
 // returned backend also implements ReplayBackend, and its sessions
-// TwoPhaseSession — internal/shard builds its in-process shards on it.
+// TwoPhaseSession.
 func NewManagerBackend(m *core.Manager) Backend { return managerBackend{m} }
 
 // managerBackend adapts one core.Manager to the Backend contract — the
@@ -171,11 +171,6 @@ func (b managerBackend) Begin(tx string) (Session, error) {
 	}
 	return managerSession{c}, nil
 }
-
-// AdoptClient wraps an already-begun core.Client as a Session (with
-// two-phase support) — the promotion path in internal/shard reconstructs
-// sleeping transactions on a promoted follower and adopts their handles.
-func AdoptClient(c *core.Client) Session { return managerSession{c} }
 
 // BeginSnapshot opens a multiversion read-only session (SnapshotBackend).
 func (b managerBackend) BeginSnapshot(tx string) (Session, error) {

@@ -239,9 +239,9 @@ type ShardStat struct {
 	ReplLagSeconds float64 `json:"repl_lag_seconds,omitempty"`
 	ReplDegraded   bool    `json:"repl_degraded,omitempty"` // semi-sync fell back to async
 	Promotions     uint64  `json:"promotions,omitempty"`
-	InDoubt        int     `json:"in_doubt,omitempty"`          // logged 2PC decisions pending on this shard
-	HeartbeatAgeMS int64   `json:"heartbeat_age_ms,omitempty"`  // since the failure detector last heard from it (-1: never)
-	MissedBeats    int     `json:"heartbeat_misses,omitempty"`  // consecutive failed probes
+	InDoubt        int     `json:"in_doubt,omitempty"`         // logged 2PC decisions pending on this shard
+	HeartbeatAgeMS int64   `json:"heartbeat_age_ms,omitempty"` // since the failure detector last heard from it (-1: never)
+	MissedBeats    int     `json:"heartbeat_misses,omitempty"` // consecutive failed probes
 }
 
 // TxOpJSON is a (transaction, operation) pair in an object snapshot.

@@ -7,8 +7,9 @@
 // snapshot (WriteSnapshot under the checkpoint lock, so the snapshot and
 // its LSN align exactly) when a follower is cold, on a different stream
 // incarnation, or behind the retained window. The follower appends each
-// group to its own WAL before applying it — durable-before-visible holds on
-// both sides — persists an acked cursor, and acknowledges the batch LSN.
+// group to its own WAL and applies it in memory, fsyncs the batch, rewrites
+// its cursor in place, and only then acknowledges the batch LSN: nothing is
+// acked before it is durable on the follower.
 //
 // LSNs are per-process (the counter restarts at every Open and the WAL is
 // truncated by checkpoints), so each ReplSource mints a random streamID;
@@ -177,16 +178,48 @@ func readReplCursor(dir string) replCursorFile {
 	return c
 }
 
-// writeReplCursor persists the acked cursor. Plain WriteFile: the cursor is
-// advisory (written after the WAL fsync it describes), and a torn write
-// degrades to a resync, never to wrong data.
-func writeReplCursor(dir string, c replCursorFile) error {
+// replCursorWidth is REPL_CURSOR's fixed size: the longest cursor JSON (90
+// bytes with three 20-digit numbers) padded with spaces. Every ack
+// overwrites the record in place at offset 0, inside the first disk sector.
+const replCursorWidth = 96
+
+// openReplCursor opens dir's cursor file for in-place rewrites and gives it
+// the fixed width once, holding cur — the cursor just read from it, so a
+// file of any other size (one written as bare JSON, or garbage) is
+// rewritten in the fixed format without moving the cursor.
+func openReplCursor(dir string, cur replCursorFile) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, replCursorName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != replCursorWidth {
+		if err = writeReplCursor(f, cur); err == nil {
+			err = f.Truncate(replCursorWidth)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// writeReplCursor overwrites the acked cursor in place. No fsync and no
+// rename: the cursor is advisory (written after the WAL fsync it
+// describes), so a lost or torn write degrades to a resync — or to
+// re-applying batches, which is idempotent — never to wrong data. Rewriting
+// a held descriptor also skips the writeback a truncating rewrite forces.
+func writeReplCursor(f *os.File, c replCursorFile) error {
 	b, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
-	//lint:ignore gtmlint/durability the cursor is advisory: a torn REPL_CURSOR degrades to a snapshot resync, never to wrong data, so it skips the temp+fsync+rename tax on every ack
-	return os.WriteFile(filepath.Join(dir, replCursorName), b, 0o644)
+	rec := bytes.Repeat([]byte{' '}, replCursorWidth)
+	rec[replCursorWidth-1] = '\n'
+	copy(rec, b)
+	_, err = f.WriteAt(rec, 0)
+	return err
 }
 
 // --- hub -----------------------------------------------------------------
@@ -727,6 +760,7 @@ type Replica struct {
 	epoch    uint64
 	streamID uint64
 	cursor   uint64
+	cursorF  *os.File // REPL_CURSOR, held open and rewritten in place
 	conn     io.Closer
 	closed   bool
 }
@@ -753,6 +787,10 @@ func OpenReplica(opts ReplicaOptions) (*Replica, error) {
 		r.txsApplied = opts.Obs.Counter(obs.NameReplTxsApplied, "Committed transaction groups applied from the replication stream.")
 	}
 	cur := readReplCursor(opts.Dir)
+	if r.cursorF, err = openReplCursor(opts.Dir, cur); err != nil {
+		pers.Close()
+		return nil, err
+	}
 	r.streamID, r.cursor = cur.StreamID, cur.LSN
 	if cur.Epoch > r.epoch {
 		r.epoch = cur.Epoch
@@ -954,20 +992,19 @@ func (r *Replica) adoptSnapshot(m *replMsg) error {
 		return err
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.streamID = m.StreamID
 	r.cursor = m.LSN
 	if m.Epoch > r.epoch {
 		r.epoch = m.Epoch
 	}
-	cur := replCursorFile{StreamID: r.streamID, LSN: r.cursor, Epoch: r.epoch}
-	r.mu.Unlock()
-	return writeReplCursor(r.dir, cur)
+	return r.persistCursorLocked()
 }
 
 // applyFrames ingests one batch of sealed WAL frames: append each
-// committed group to the follower's own WAL, fsync, apply to memory, then
-// advance the durable cursor. Re-applied batches (after a torn cursor) are
-// idempotent — every record carries absolute values.
+// committed group to the follower's own WAL and apply it to memory, fsync
+// the batch, then advance the cursor. Re-applied batches (after a lost or
+// torn cursor) are idempotent — every record carries absolute values.
 func (r *Replica) applyFrames(data []byte, end uint64, epoch uint64) error {
 	recs, err := readWAL(bytes.NewReader(data))
 	if err != nil {
@@ -997,13 +1034,22 @@ func (r *Replica) applyFrames(data []byte, end uint64, epoch uint64) error {
 		}
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.cursor = end
 	if epoch > r.epoch {
 		r.epoch = epoch
 	}
-	cur := replCursorFile{StreamID: r.streamID, LSN: r.cursor, Epoch: r.epoch}
-	r.mu.Unlock()
-	return writeReplCursor(r.dir, cur)
+	return r.persistCursorLocked()
+}
+
+// persistCursorLocked rewrites REPL_CURSOR from the in-memory cursor.
+// Callers hold r.mu, which orders the write before Close/Promote release
+// the file.
+func (r *Replica) persistCursorLocked() error {
+	if r.closed {
+		return errReplClosed
+	}
+	return writeReplCursor(r.cursorF, replCursorFile{StreamID: r.streamID, LSN: r.cursor, Epoch: r.epoch})
 }
 
 // applyGroup logs one committed group locally and applies it to the store.
@@ -1059,6 +1105,7 @@ func (r *Replica) Close() error {
 	r.closed = true
 	conn := r.conn
 	r.conn = nil
+	r.cursorF.Close()
 	r.mu.Unlock()
 	if conn != nil {
 		conn.Close()
@@ -1084,6 +1131,7 @@ func (r *Replica) Promote(newEpoch uint64) (uint64, error) {
 	conn := r.conn
 	r.conn = nil
 	cursor := r.cursor
+	r.cursorF.Close()
 	r.mu.Unlock()
 	if conn != nil {
 		conn.Close()

@@ -2,9 +2,12 @@ package ldbs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -387,5 +390,92 @@ func TestReplFollowerRejectsStaleEpochFrames(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower never rejected the stale frames")
+	}
+}
+
+// TestReplCursorRewrittenInPlace: REPL_CURSOR is one fixed-width file the
+// follower rewrites in place on every ack. A follower reopened over a
+// cursor in bare-JSON form resumes without a snapshot resync; a garbled
+// cursor still falls back to one.
+func TestReplCursorRewrittenInPlace(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := newReplPair(t, ReplSourceOptions{Obs: reg})
+	dir := p.rep.dir
+	path := filepath.Join(dir, replCursorName)
+	commitSeat(t, p.db, "S0", 0)
+	waitSeat(t, p.rep.DB(), "S0", 0)
+	first, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		commitSeat(t, p.db, "S0", int64(i))
+		waitSeat(t, p.rep.DB(), "S0", int64(i))
+	}
+	// A batch is applied before its cursor write; the cursor moves under
+	// the same lock as that write, so once it reaches the primary's LSN
+	// the file holds it too.
+	p.db.log.mu.Lock()
+	end := p.db.log.lsn
+	p.db.log.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.rep.Cursor() < end && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	now, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(first, now) {
+		t.Fatal("REPL_CURSOR was replaced, not rewritten in place")
+	}
+	if now.Size() != replCursorWidth {
+		t.Fatalf("REPL_CURSOR is %d bytes, want %d", now.Size(), replCursorWidth)
+	}
+	cur := readReplCursor(dir)
+	if cur.LSN != end || cur.StreamID == 0 {
+		t.Fatalf("cursor = %+v, want LSN %d on a live stream", cur, end)
+	}
+
+	// reopen restarts the follower over the cursor file as left by write.
+	reopen := func(write []byte) {
+		t.Helper()
+		p.disconnect()
+		if err := p.rep.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, write, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if p.rep, err = OpenReplica(ReplicaOptions{Dir: dir, Schemas: replTestSchemas(), Logf: t.Logf}); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != replCursorWidth {
+			t.Fatalf("reopened cursor file: %v, %v; want %d bytes", fi, err, replCursorWidth)
+		}
+		p.connect()
+	}
+	resyncs := func() uint64 { return reg.Snapshot()[obs.NameReplResyncs] }
+
+	base := resyncs()
+	bare, err := json.Marshal(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen(bare)
+	if got := p.rep.Cursor(); got != cur.LSN {
+		t.Fatalf("reopened over a bare-JSON cursor at %d, want %d", got, cur.LSN)
+	}
+	commitSeat(t, p.db, "S1", 1)
+	waitSeat(t, p.rep.DB(), "S1", 1)
+	if got := resyncs(); got != base {
+		t.Fatalf("a bare-JSON cursor cost %d snapshot resyncs, want 0", got-base)
+	}
+
+	reopen([]byte(`{"stream_id":12,"ls`))
+	commitSeat(t, p.db, "S2", 2)
+	waitSeat(t, p.rep.DB(), "S2", 2)
+	if got := resyncs(); got != base+1 {
+		t.Fatalf("a garbled cursor cost %d snapshot resyncs, want 1", got-base)
 	}
 }

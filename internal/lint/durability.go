@@ -37,8 +37,8 @@ import (
 // a role by bearing a registered name (durabilityBarriers,
 // durabilitySinks, durabilityStateFiles below — docs/STATIC_ANALYSIS.md
 // mirrors the table). New durable code joins the check by naming its
-// barrier and sink functions accordingly; a deliberate exception (e.g. the
-// advisory replication cursor, whose torn write is repaired by resync)
+// barrier and sink functions accordingly; a deliberate exception (e.g. a
+// decision re-delivered from the coordinator log, already durable there)
 // carries a reasoned //lint:ignore gtmlint/durability. The scan is linear
 // in statement order and not path-sensitive — like the rest of the suite
 // it prefers a checkable under-approximation to an unsound precise one.
@@ -58,7 +58,6 @@ var durabilityBarriers = map[string]bool{
 	"AppendGroup":   true, // WAL group append (syncs per group-commit policy)
 	"Checkpoint":    true, // full-state checkpoint
 	"LogDecide":     true, // CoordLog decide record + fsync
-	"LogDone":       true, // CoordLog done record + fsync
 	"applyFrames":   true, // follower frame ingest: durable (WAL+cursor) on return
 	"adoptSnapshot": true, // follower resync: durable (checkpoint+cursor) on return
 	"flushPages":    true, // disk driver: write every dirty page + fsync

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -149,7 +150,7 @@ func (cl *Cluster) Begin(tx string) (wire.Session, error) {
 	if _, settled := cl.records[tx]; settled {
 		return nil, fmt.Errorf("%w: %s", core.ErrTxExists, tx)
 	}
-	t := &clusterTx{cl: cl, id: tx, subs: make(map[int]Session)}
+	t := &clusterTx{cl: cl, id: tx}
 	cl.txs[tx] = t
 	return t, nil
 }
@@ -605,7 +606,7 @@ type clusterTx struct {
 	id string
 
 	mu   sync.Mutex
-	subs map[int]Session
+	subs []subRef // ascending shard order
 }
 
 type subRef struct {
@@ -617,20 +618,23 @@ type subRef struct {
 func (t *clusterTx) snapshot() []subRef {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]subRef, 0, len(t.subs))
-	for idx, sess := range t.subs {
-		out = append(out, subRef{idx, sess})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
-	return out
+	return append([]subRef(nil), t.subs...)
+}
+
+// find returns where shard idx's sub-session sits in t.subs, or where it
+// would be inserted. Callers hold t.mu.
+func (t *clusterTx) find(idx int) (int, bool) {
+	i := sort.Search(len(t.subs), func(i int) bool { return t.subs[i].idx >= idx })
+	return i, i < len(t.subs) && t.subs[i].idx == idx
 }
 
 // sub returns the session on shard idx, beginning it when begin is set.
 func (t *clusterTx) sub(idx int, begin bool) (Session, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if sess, ok := t.subs[idx]; ok {
-		return sess, nil
+	i, ok := t.find(idx)
+	if ok {
+		return t.subs[i].sess, nil
 	}
 	if !begin {
 		return nil, fmt.Errorf("%w: %s has no invocation on shard %d", core.ErrNotInvoked, t.id, idx)
@@ -639,7 +643,7 @@ func (t *clusterTx) sub(idx int, begin bool) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.subs[idx] = sess
+	t.subs = slices.Insert(t.subs, i, subRef{idx, sess})
 	return sess, nil
 }
 
@@ -763,9 +767,11 @@ func (t *clusterTx) reresolve(sub subRef) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	var old Session
 	t.mu.Lock()
-	old := t.subs[sub.idx]
-	t.subs[sub.idx] = sess
+	if i, ok := t.find(sub.idx); ok {
+		old, t.subs[i].sess = t.subs[i].sess, sess
+	}
 	t.mu.Unlock()
 	if old != nil {
 		old.Release()
@@ -796,7 +802,7 @@ func (t *clusterTx) record(st core.State, reason string) {
 // prepare every participant in ascending shard order (a global acquisition
 // order, so concurrent cross-shard commits cannot deadlock on committer
 // slots), log the decision (the commit point), then decide every
-// participant, each decided SST carrying the decision marker.
+// participant in parallel, each decided SST carrying the decision marker.
 func (t *clusterTx) Commit(ctx context.Context) error {
 	subs := t.snapshot()
 	cl := t.cl
@@ -864,12 +870,23 @@ func (t *clusterTx) Commit(ctx context.Context) error {
 		cl.HookAfterLog(t.id)
 	}
 
-	// Phase 2: every participant applies its slice. A failure here does
-	// not un-commit — the decision is logged; the participant is brought
-	// up to date by ResolveInDoubt.
+	// Phase 2: every participant applies its slice, all at once — past the
+	// logged decision no participant's outcome depends on another's. A
+	// failure here does not un-commit; the participant is brought up to
+	// date by ResolveInDoubt.
+	errs := make([]error, len(subs))
+	var wg sync.WaitGroup
+	for k, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = sub.sess.Decide(ctx, true, []wire.SSTWriteJSON{participants[k].Marker})
+		}()
+	}
+	wg.Wait()
 	var lagging bool
 	for k, sub := range subs {
-		if err := sub.sess.Decide(ctx, true, []wire.SSTWriteJSON{participants[k].Marker}); err != nil {
+		if err := errs[k]; err != nil {
 			lagging = true
 			cl.metrics.decideFails.Inc()
 			cl.logger.Printf("shard: decide of %s on shard %d failed (will resolve): %v", t.id, sub.idx, err)

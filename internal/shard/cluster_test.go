@@ -2,13 +2,17 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"preserial/internal/core"
 	"preserial/internal/ldbs"
+	"preserial/internal/obs"
 	"preserial/internal/sem"
 	"preserial/internal/wire"
 )
@@ -396,6 +400,130 @@ func TestMergeFinalsPlacementIndependentMulDiv(t *testing.T) {
 	}
 	if x2 != x1 || y2 != y1 {
 		t.Fatalf("two-shard finals %d, %d differ from one-shard %d, %d", x2, y2, x1, y1)
+	}
+}
+
+// --- phase 2 ---
+
+// phase2Shard wraps a participant so a test steps in before each of its
+// sessions' Decide calls: hook runs first, and an error from it replaces
+// the real Decide (the participant stays prepared).
+type phase2Shard struct {
+	Shard
+	hook func(idx int) error
+}
+
+func (s phase2Shard) Begin(tx string) (Session, error) {
+	sess, err := s.Shard.Begin(tx)
+	if err != nil {
+		return nil, err
+	}
+	return phase2Session{Session: sess, idx: s.Index(), hook: s.hook}, nil
+}
+
+type phase2Session struct {
+	Session
+	idx  int
+	hook func(idx int) error
+}
+
+func (s phase2Session) Decide(ctx context.Context, commit bool, extra []wire.SSTWriteJSON) error {
+	if err := s.hook(s.idx); err != nil {
+		return err
+	}
+	return s.Session.Decide(ctx, commit, extra)
+}
+
+// hookPhase2 replaces tc's coordinator with one whose participants run
+// hook before every session Decide, reporting its metrics into reg.
+func hookPhase2(t *testing.T, tc *testCluster, reg *obs.Registry, hook func(idx int) error) {
+	t.Helper()
+	shards := make([]Shard, len(tc.shards))
+	for i, s := range tc.shards {
+		shards[i] = phase2Shard{Shard: s, hook: hook}
+	}
+	cl, err := NewCluster(Config{Shards: shards,
+		CoordLogPath: filepath.Join(t.TempDir(), "coord.wal"), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	tc.cl = cl
+}
+
+// TestClusterDecidesInParallel: every participant's Decide is in flight
+// at once — each one blocks until all of them have entered, which a serial
+// phase 2 never reaches.
+func TestClusterDecidesInParallel(t *testing.T) {
+	const n = 3
+	tc := newTestCluster(t, n, 1, 50, false)
+	var entered atomic.Int32
+	all := make(chan struct{})
+	hookPhase2(t, tc, nil, func(idx int) error {
+		if entered.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(2 * time.Second):
+			t.Errorf("decide on shard %d waited 2s for the other participants: phase 2 is serial", idx)
+			return fmt.Errorf("shard %d decided alone", idx)
+		}
+	})
+	keys := []string{tc.keys[0][0], tc.keys[1][0], tc.keys[2][0]}
+	if err := tc.book(t, "par", -1, keys...); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if got := tc.free(t, key); got != 49 {
+			t.Fatalf("%s = %d, want 49", key, got)
+		}
+	}
+	if pending := tc.cl.InDoubt(); len(pending) != 0 {
+		t.Fatalf("in-doubt after a clean parallel phase 2: %v", pending)
+	}
+}
+
+// TestClusterDecideFailureLeavesInDoubt: one participant's decide fails
+// after the decision is logged. The commit still succeeds, the other
+// participant commits, and the failed one waits in doubt for resolution.
+func TestClusterDecideFailureLeavesInDoubt(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 50, false)
+	reg := obs.NewRegistry()
+	hookPhase2(t, tc, reg, func(idx int) error {
+		if idx == 1 {
+			return errors.New("injected decide failure")
+		}
+		return nil
+	})
+	a, b := tc.keys[0][0], tc.keys[1][0]
+	if err := tc.book(t, "lag", -1, a, b); err != nil {
+		t.Fatalf("commit past the logged decision must succeed: %v", err)
+	}
+	snap := reg.Snapshot()
+	if got := snap[obs.NameShard2PCDecideFails]; got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.NameShard2PCDecideFails, got)
+	}
+	for idx, want := range []uint64{1, 0} {
+		name := obs.WithLabel(obs.NameShardCommits, "shard", strconv.Itoa(idx))
+		if got := snap[name]; got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := tc.free(t, a); got != 49 {
+		t.Fatalf("%s = %d, want 49", a, got)
+	}
+	if pending := tc.cl.InDoubt(); len(pending) != 1 || pending[0] != "lag" {
+		t.Fatalf("in-doubt = %v, want [lag]", pending)
+	}
+	// The lagging participant still holds the transaction prepared:
+	// resolution delivers the logged decision.
+	if resolved, err := tc.cl.ResolveInDoubt(); err != nil || resolved != 1 {
+		t.Fatalf("ResolveInDoubt = %d, %v, want 1, nil", resolved, err)
+	}
+	if got := tc.free(t, b); got != 49 {
+		t.Fatalf("%s = %d, want 49", b, got)
 	}
 }
 

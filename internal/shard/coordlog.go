@@ -14,9 +14,14 @@ import (
 // return is the fsynced decide record: before it, crash recovery presumes
 // abort (participants' prepared state is volatile, their slots unwind with
 // the restart); after it, recovery must drive every participant's write
-// set to durability, which the done record acknowledges. The log is tiny —
-// one decide + one done per cross-shard transaction, truncated at every
-// reopen to just the still-pending decisions.
+// set to durability, which the done record acknowledges. Only the decide
+// record is forced: the done record is written without an fsync, presumed
+// abort's unforced end record (R*, Mohan, Lindsay & Obermarck, TODS 1986).
+// The next decide's fsync covers it; a done record a crash loses only
+// re-resolves its decision at reopen, which the participants' decision
+// markers make exactly-once. The log is tiny — one decide + one done per
+// cross-shard transaction, truncated at every reopen to just the
+// still-pending decisions.
 
 // Participant is one shard's slice of a logged commit decision: the staged
 // write set and the decision marker that makes re-applying it idempotent.
@@ -53,7 +58,7 @@ type logRecord struct {
 }
 
 // CoordLog is the coordinator's decision WAL: length-prefixed JSON
-// records, fsynced per append, recovered tolerant of a torn tail.
+// records, decides fsynced per append, recovered tolerant of a torn tail.
 type CoordLog struct {
 	mu   sync.Mutex
 	path string
@@ -96,8 +101,9 @@ func OpenCoordLog(path string) (*CoordLog, []Decision, error) {
 
 // readPending replays the log, returning decisions without a matching
 // done. A torn or corrupt tail record (the crash interrupted an append)
-// ends the replay — everything before it is intact because appends are
-// fsynced in order.
+// ends the replay — everything before the last decide is intact because
+// that decide's fsync covered it, and what follows it holds only done
+// records, whose loss re-resolves their decisions.
 func readPending(path string) ([]Decision, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -138,8 +144,8 @@ func readPending(path string) ([]Decision, error) {
 	return pending, nil
 }
 
-// append writes one record and fsyncs it.
-func (l *CoordLog) append(rec *logRecord) error {
+// append writes one record, fsyncing it when force is set.
+func (l *CoordLog) append(rec *logRecord, force bool) error {
 	if l == nil {
 		return nil // volatile cluster: decisions are not logged
 	}
@@ -148,7 +154,7 @@ func (l *CoordLog) append(rec *logRecord) error {
 	if l.f == nil {
 		return fmt.Errorf("shard: coordinator log is closed")
 	}
-	if err := wire.WriteMsg(l.f, rec); err != nil {
+	if err := wire.WriteMsg(l.f, rec); err != nil || !force {
 		return err
 	}
 	return l.f.Sync()
@@ -157,13 +163,14 @@ func (l *CoordLog) append(rec *logRecord) error {
 // LogDecide makes a commit decision durable — the transaction's commit
 // point. Must return before any participant is told to commit.
 func (l *CoordLog) LogDecide(d Decision) error {
-	return l.append(&logRecord{Kind: recordDecide, Decision: d})
+	return l.append(&logRecord{Kind: recordDecide, Decision: d}, true)
 }
 
 // LogDone records that every participant's decided SST is durable; the
-// decision will be dropped at the next compaction.
+// decision will be dropped at the next compaction. The record is not
+// forced (see the log's header comment).
 func (l *CoordLog) LogDone(tx string) error {
-	return l.append(&logRecord{Kind: recordDone, Decision: Decision{Tx: tx}})
+	return l.append(&logRecord{Kind: recordDone, Decision: Decision{Tx: tx}}, false)
 }
 
 // Close releases the log file.

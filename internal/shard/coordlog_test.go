@@ -131,3 +131,79 @@ func TestCoordLogCompactionAcrossParticipantRestart(t *testing.T) {
 		t.Fatalf("log has %d records after full settlement, want 0", got)
 	}
 }
+
+// TestCoordLogLostDoneResolvesOnce: the done record is written without an
+// fsync, so a crash may lose it. Cut the trailing done record from the log
+// as such a crash would, restart the shards and the coordinator, and
+// resolve: the decision re-resolves exactly once — the participants'
+// decision markers show its write set already landed, so nothing replays.
+func TestCoordLogLostDoneResolvesOnce(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 50, true)
+	a, b := tc.keys[0][0], tc.keys[1][0]
+	logPath := tc.cl.log.path
+	for _, tx := range []string{"x0", "x1", "x2"} {
+		if err := tc.book(t, tx, -1, a, b); err != nil {
+			t.Fatalf("commit %s: %v", tx, err)
+		}
+	}
+	if got := countLogRecords(t, logPath); got != 6 {
+		t.Fatalf("log has %d records after 3 settled commits, want 6", got)
+	}
+
+	// Find where the last record starts; it must be x2's done.
+	tc.cl.Close()
+	f, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	var rec logRecord
+	for {
+		off, err := f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r logRecord
+		if err := wire.ReadMsg(f, &r); err != nil {
+			break
+		}
+		last, rec = off, r
+	}
+	f.Close()
+	if rec.Kind != recordDone || rec.Tx != "x2" {
+		t.Fatalf("last record = %s %s, want done x2", rec.Kind, rec.Tx)
+	}
+	if err := os.Truncate(logPath, last); err != nil {
+		t.Fatal(err)
+	}
+
+	// The whole node crashed: the shards keep only what their WALs hold.
+	for i, s := range tc.shards {
+		s.Kill()
+		if err := s.Restart(); err != nil {
+			t.Fatalf("restart shard %d: %v", i, err)
+		}
+	}
+	cl2, err := NewCluster(Config{
+		Shards:       []Shard{tc.shards[0], tc.shards[1]},
+		CoordLogPath: logPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	if pending := cl2.InDoubt(); len(pending) != 1 || pending[0] != "x2" {
+		t.Fatalf("recovered in-doubt = %v, want [x2]", pending)
+	}
+	if resolved, err := cl2.ResolveInDoubt(); err != nil || resolved != 1 {
+		t.Fatalf("ResolveInDoubt = %d, %v, want 1, nil", resolved, err)
+	}
+	if got := cl2.Stats()["cluster_2pc_replays"]; got != 0 {
+		t.Fatalf("cluster_2pc_replays = %d, want 0: the marker probe must find x2 landed", got)
+	}
+	for _, key := range []string{a, b} {
+		if got := tc.free(t, key); got != 47 {
+			t.Fatalf("%s = %d, want 47 (three bookings of one seat)", key, got)
+		}
+	}
+}

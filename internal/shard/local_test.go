@@ -146,3 +146,60 @@ func TestLocalShardRestartDropsBadJournalRow(t *testing.T) {
 		t.Fatalf("second restart met the dropped row again: %q", logs)
 	}
 }
+
+// TestOpenLocalPurgesSleepJournal: a first open deletes the journal rows an
+// earlier process life left behind — that process's sleepers died with its
+// GTM — so a later in-process Restart has nothing to adopt.
+func TestOpenLocalPurgesSleepJournal(t *testing.T) {
+	tc := newTestCluster(t, 1, 1, 10, false)
+	ctx := context.Background()
+	obj := core.ObjectID(objectID(tc.keys[0][0]))
+	s := tc.shards[0]
+
+	sess, err := s.Begin("dozer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Invoke(ctx, obj, sem.Op{Class: sem.AddSub}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Sleep(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DB().ReadCommitted(SleepTable, "dozer", SleepColumn); err != nil {
+		t.Fatalf("sleep was not journaled: %v", err)
+	}
+	s.Close()
+
+	s2, err := OpenLocal(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	rows := 0
+	tx := s2.DB().Begin()
+	if err := tx.Scan(ctx, SleepTable, func(string, ldbs.Row) bool {
+		rows++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Rollback()
+	if rows != 0 {
+		t.Fatalf("sleep journal holds %d rows after a first open, want 0", rows)
+	}
+
+	s2.Kill()
+	if err := s2.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	s2.mu.Lock()
+	adopted := len(s2.adopted)
+	s2.mu.Unlock()
+	if adopted != 0 {
+		t.Fatalf("restart adopted %d sleepers, want 0", adopted)
+	}
+	if st, err := s2.TxState("dozer"); err == nil && st == core.StateSleeping {
+		t.Fatal("the earlier process life's sleeper came back")
+	}
+}

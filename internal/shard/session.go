@@ -100,6 +100,29 @@ func deleteSleepRow(db *ldbs.DB, tx string) {
 	_ = t.Commit(ctx)
 }
 
+// purgeSleepJournal deletes every journal row in one transaction.
+func purgeSleepJournal(db *ldbs.DB) error {
+	ctx := context.Background()
+	t := db.Begin()
+	defer t.Rollback()
+	var ids []string
+	if err := t.Scan(ctx, SleepTable, func(key string, _ ldbs.Row) bool {
+		ids = append(ids, key)
+		return true
+	}); err != nil {
+		return err
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	for _, id := range ids {
+		if err := t.Delete(ctx, SleepTable, id); err != nil {
+			return err
+		}
+	}
+	return t.Commit(ctx)
+}
+
 // adoptSleepers reconstructs every journaled sleeping transaction on a
 // freshly opened stack: re-begin under the same id, replay the granted
 // invocations (compatibility of simultaneously granted classes implies the
@@ -233,7 +256,9 @@ func (ss *session) live() error {
 }
 
 // finish runs a terminal operation: clear the journal row first if one can
-// exist, forget the session once the operation succeeded.
+// exist, forget the session and its history once the operation succeeded —
+// a finished transaction never sleeps again, while its handle may be held
+// until the front end sweeps it.
 func (ss *session) finish(op func() error) error {
 	if err := ss.live(); err != nil {
 		return err
@@ -246,6 +271,9 @@ func (ss *session) finish(op func() error) error {
 	}
 	err := op()
 	if err == nil {
+		ss.mu.Lock()
+		ss.ops = nil
+		ss.mu.Unlock()
 		ss.shard.dropSession(ss.gen, ss.tx)
 	}
 	return err

@@ -223,13 +223,19 @@ func HiddenSchemas(app []ldbs.Schema) []ldbs.Schema {
 	return schemas
 }
 
-// OpenLocal builds and starts an in-process shard. A first open does not
-// adopt journaled sleepers; only Restart (and a promotion) does.
+// OpenLocal builds and starts an in-process shard. A first open purges the
+// sleep journal instead of adopting it: a fresh process has a fresh GTM,
+// so the sleepers an earlier process life journaled are already gone.
+// Only Restart (and a promotion) adopts journaled sleepers.
 func OpenLocal(cfg LocalConfig) (*LocalShard, error) {
 	s := &LocalShard{cfg: cfg, logf: func(string, ...any) {}}
 	st, err := s.open()
 	if err != nil {
 		return nil, err
+	}
+	if err := purgeSleepJournal(st.db); err != nil {
+		st.close()
+		return nil, fmt.Errorf("shard %d: purge sleep journal: %w", cfg.Index, err)
 	}
 	s.install(st, nil)
 	return s, nil

@@ -46,8 +46,9 @@
 //	    redialling across primary restarts. -promote-on-exit turns the
 //	    shutdown signal into a promotion at the next fencing epoch.
 //
-// With -gateway (composes with every mode), the TCP front end is the
-// session-multiplexing gateway tier: many logical sessions per connection,
+// In every mode the TCP front end is the session-multiplexing gateway:
+// clients without sessions are served in order, one owner per connection,
+// while gateway clients get many logical sessions per connection,
 // token-bucket admission control (-gw-rate, -gw-tenant-rate), bounded
 // dispatch lanes with retry-after backpressure, and a parked-session table
 // so an idle disconnected client costs bytes (-gw-max-sessions,
@@ -105,7 +106,6 @@ type config struct {
 	idle      time.Duration
 	waitTO    time.Duration
 	sleepTO   time.Duration
-	invokeTO  time.Duration
 	httpAddr  string
 	drainTO   time.Duration
 
@@ -118,13 +118,7 @@ type config struct {
 	replAsync     bool
 	promoteOnExit bool
 
-	gateway       bool
-	gwSessions    int
-	gwRate        float64
-	gwBurst       float64
-	gwTenantRate  float64
-	gwTenantBurst float64
-	gwRetention   time.Duration
+	gw gateway.Options // the -gw-* flags, plus the logger, registry and -invoke-timeout
 
 	logger *log.Logger
 	reg    *obs.Registry
@@ -148,13 +142,13 @@ func main() {
 	shards := flag.Int("shards", 1, "split the object space over N ring positions, with cross-shard two-phase commit; this process hosts all of them unless -shard-index picks one (1: classic single node)")
 	shardIndex := flag.Int("shard-index", -1, "host only this ring position of -shards, as one participant of a multi-process cluster (-1: host every shard)")
 	route := flag.String("route", "", "comma-separated participant addresses; serve as a stateless router/coordinator over them")
-	gw := flag.Bool("gateway", false, "serve the session-multiplexing gateway front end (many logical sessions per connection, admission control, parked-session table) instead of one goroutine per connection; composes with every mode")
-	gwSessions := flag.Int("gw-max-sessions", 0, "session-table cap, bound + parked (0: unlimited)")
-	gwRate := flag.Float64("gw-rate", 0, "global admission rate, transaction begins per second (0: unlimited)")
-	gwBurst := flag.Float64("gw-burst", 0, "global admission burst (0: same as -gw-rate)")
-	gwTenantRate := flag.Float64("gw-tenant-rate", 0, "per-tenant admission rate, begins per second (0: no per-tenant limiting)")
-	gwTenantBurst := flag.Float64("gw-tenant-burst", 0, "per-tenant admission burst (0: same as -gw-tenant-rate)")
-	gwRetention := flag.Duration("gw-session-retention", gateway.DefaultSessionRetention, "reap parked sessions idle longer than this (negative: never)")
+	var gw gateway.Options
+	flag.IntVar(&gw.MaxSessions, "gw-max-sessions", 0, "session-table cap, bound + parked (0: unlimited)")
+	flag.Float64Var(&gw.Rate, "gw-rate", 0, "global admission rate, transaction begins per second (0: unlimited)")
+	flag.Float64Var(&gw.Burst, "gw-burst", 0, "global admission burst (0: same as -gw-rate)")
+	flag.Float64Var(&gw.TenantRate, "gw-tenant-rate", 0, "per-tenant admission rate, begins per second (0: no per-tenant limiting)")
+	flag.Float64Var(&gw.TenantBurst, "gw-tenant-burst", 0, "per-tenant admission burst (0: same as -gw-tenant-rate)")
+	flag.DurationVar(&gw.SessionRetention, "gw-session-retention", gateway.DefaultSessionRetention, "reap parked sessions idle longer than this (negative: never)")
 	replListen := flag.String("repl-listen", "", "serve the WAL replication stream to followers on this address (a process hosting one shard; requires -data)")
 	replicaOf := flag.String("replica-of", "", "run as a warm follower of the primary at this address (its -repl-listen); -data names the follower's own directory")
 	replAsync := flag.Bool("repl-async", false, "with -repl-listen: acknowledge commits without waiting for a follower ack (default: semi-synchronous once a follower attaches)")
@@ -163,16 +157,15 @@ func main() {
 
 	logger := log.New(os.Stderr, "gtmd: ", log.LstdFlags)
 	reg := obs.NewRegistry()
+	gw.Logger, gw.Obs, gw.InvokeTimeout = logger, reg, *invokeTO
 	cfg := &config{
 		addr: *addr, dataDir: *dataDir, store: *storeName, pageCache: *pageCache,
 		ckptEvery: *ckptEvery, seats: *seats,
-		idle: *idle, waitTO: *waitTO, sleepTO: *sleepTO, invokeTO: *invokeTO,
+		idle: *idle, waitTO: *waitTO, sleepTO: *sleepTO,
 		httpAddr: *httpAddr, drainTO: *drainTO,
 		shards: *shards, shardIndex: *shardIndex, route: *route,
 		replListen: *replListen, replicaOf: *replicaOf, replAsync: *replAsync,
-		promoteOnExit: *promoteOnExit,
-		gateway:       *gw, gwSessions: *gwSessions, gwRate: *gwRate, gwBurst: *gwBurst,
-		gwTenantRate: *gwTenantRate, gwTenantBurst: *gwTenantBurst, gwRetention: *gwRetention,
+		promoteOnExit: *promoteOnExit, gw: gw,
 		logger: logger, reg: reg,
 		observ: core.NewObservability(reg, traceDepth),
 		start:  time.Now(),
@@ -275,7 +268,7 @@ func runLocal(cfg *config) {
 	}
 
 	startHTTP(cfg, liveCountBackend(backend))
-	serveWithDrain(cfg, cfg.newFrontEnd(backend), cfg.banner(fmt.Sprintf("%s (data dir %q)", mode, cfg.dataDir)), func() {
+	serveWithDrain(cfg, backend, fmt.Sprintf("%s (data dir %q)", mode, cfg.dataDir), func() {
 		stopRepl()
 		if cl != nil {
 			cl.Close()
@@ -456,46 +449,12 @@ func runRouter(cfg *config) {
 	}
 
 	startHTTP(cfg, liveCountBackend(cl))
-	serveWithDrain(cfg, cfg.newFrontEnd(cl), cfg.banner(fmt.Sprintf("router over %d participants %v", len(addrs), addrs)), func() {
+	serveWithDrain(cfg, cl, fmt.Sprintf("router over %d participants %v", len(addrs), addrs), func() {
 		cl.Close()
 	})
 }
 
 // --- shared plumbing ---
-
-// frontEnd is the surface serveWithDrain needs from either TCP front end:
-// the classic wire.Server or the multiplexing gateway.Server.
-type frontEnd interface {
-	Serve(addr string) error
-	Drain(timeout time.Duration) wire.DrainReport
-}
-
-// newFrontEnd builds the mode-independent front end over a backend: the
-// gateway when -gateway is set, the classic server otherwise.
-func (cfg *config) newFrontEnd(b wire.Backend) frontEnd {
-	if cfg.gateway {
-		return gateway.NewServer(b, gateway.Options{
-			Logger:           cfg.logger,
-			Obs:              cfg.reg,
-			InvokeTimeout:    cfg.invokeTO,
-			MaxSessions:      cfg.gwSessions,
-			Rate:             cfg.gwRate,
-			Burst:            cfg.gwBurst,
-			TenantRate:       cfg.gwTenantRate,
-			TenantBurst:      cfg.gwTenantBurst,
-			SessionRetention: cfg.gwRetention,
-		})
-	}
-	return wire.NewBackendServer(b, wire.ServerOptions{Logger: cfg.logger, InvokeTimeout: cfg.invokeTO, Obs: cfg.reg})
-}
-
-// banner prefixes the mode description with the front-end kind.
-func (cfg *config) banner(mode string) string {
-	if cfg.gateway {
-		return "gateway over " + mode
-	}
-	return mode
-}
 
 // liveCountBackend counts a backend's non-terminal transactions.
 func liveCountBackend(b wire.Backend) func() float64 {
@@ -525,10 +484,11 @@ func startHTTP(cfg *config, live func() float64) {
 	}()
 }
 
-// serveWithDrain serves until SIGTERM/SIGINT, then drains gracefully and
-// runs the mode's shutdown hook.
-func serveWithDrain(cfg *config, srv frontEnd, banner string, shutdown func()) {
+// serveWithDrain serves the gateway over b until SIGTERM/SIGINT, then
+// drains gracefully and runs the mode's shutdown hook.
+func serveWithDrain(cfg *config, b wire.Backend, mode string, shutdown func()) {
 	logger := cfg.logger
+	srv := gateway.NewServer(b, cfg.gw)
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
 	go func() {
@@ -543,7 +503,7 @@ func serveWithDrain(cfg *config, srv frontEnd, banner string, shutdown func()) {
 		os.Exit(0)
 	}()
 
-	logger.Printf("middleware listening on %s — %s", cfg.addr, banner)
+	logger.Printf("middleware listening on %s — gateway over %s", cfg.addr, mode)
 	if err := srv.Serve(cfg.addr); err != nil {
 		logger.Fatalf("serve: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"preserial/internal/gateway"
 	"preserial/internal/sem"
 	"preserial/internal/shard"
 	"preserial/internal/wire"
@@ -247,6 +248,78 @@ func TestGTMDBinaryDisconnectSleep(t *testing.T) {
 	}
 }
 
+// TestGTMDEveryProcessIsAGateway: a plain single-node gtmd serves gateway
+// sessions beside unmodified clients, and honours the -gw-* flags. A
+// session's transaction sleeps on detach and is resumed, awakened and
+// committed from a second connection; a plain wire.Conn books on the same
+// process; and -gw-max-sessions 1 sheds a second session's attach.
+func TestGTMDEveryProcessIsAGateway(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary test skipped in -short mode")
+	}
+	bin := buildGTMD(t)
+	addr := freePort(t)
+	startGTMD(t, bin, "-addr", addr, "-data", t.TempDir(), "-seats", "100", "-gw-max-sessions", "1")
+	cn := waitReachable(t, addr)
+	defer cn.Close()
+
+	mc, err := gateway.DialMuxTimeout(addr, 5*time.Second, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _, err := mc.Session("phone", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Begin("trip"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Invoke("trip", "Hotel/H0", sem.AddSub, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Apply("trip", "Hotel/H0", sem.Int(-1)); err != nil {
+		t.Fatal(err)
+	}
+	seq := sc.Seq("trip")
+	if err := mc.Detach("phone"); err != nil {
+		t.Fatal(err)
+	}
+	mc.Close()
+	if st, err := cn.State("trip"); err != nil || st != "Sleeping" {
+		t.Fatalf("state after detach = %q, %v; want Sleeping", st, err)
+	}
+
+	mc2, err := gateway.DialMuxTimeout(addr, 5*time.Second, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc2.Close()
+	resumed, owned, err := mc2.Attach("phone", "")
+	if err != nil || !resumed || len(owned) != 1 || owned[0] != "trip" {
+		t.Fatalf("resume = %v, %v, %v; want the parked session owning trip", resumed, owned, err)
+	}
+	sc2, _, err := mc2.Session("phone", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc2.SetSeq("trip", seq)
+	if ok, err := sc2.Awake("trip"); err != nil || !ok {
+		t.Fatalf("awake = %v, %v", ok, err)
+	}
+	if err := sc2.Commit("trip"); err != nil {
+		t.Fatal(err)
+	}
+
+	book(t, cn, "plain", "Hotel/H0")
+	wantSeats(t, cn, "check", 98, "Hotel/H0")
+
+	_, _, err = mc2.Attach("tablet", "")
+	var ra *wire.RetryAfterError
+	if !errors.As(err, &ra) || ra.Reason != "sessions" {
+		t.Fatalf("second session's attach = %v, want a retry-after sessions rejection", err)
+	}
+}
+
 // crossShardPair returns two demo objects the ring of n shards routes to
 // shards 0 and 1.
 func crossShardPair(t *testing.T, n int) (string, string) {
@@ -430,6 +503,7 @@ func TestGTMDRemovedFlagsStayRemoved(t *testing.T) {
 		{"-gw-lane-depth", "256"},
 		{"-gw-lane-workers", "8"},
 		{"-shard-count", "2"},
+		{"-gateway"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
 			out, err := exec.Command(bin, args...).CombinedOutput()

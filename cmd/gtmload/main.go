@@ -19,7 +19,7 @@
 //
 //	gtmload -addr 127.0.0.1:7654 -bench -workers 64 -duration 10s
 //
-// -swarm simulates a mobile fleet against a gateway (gtmd -gateway):
+// -swarm simulates a mobile fleet against gtmd's gateway sessions:
 // -clients logical sessions multiplexed over -conns TCP connections, each
 // client parked (detached) almost all the time and waking on a heavy-tailed
 // Pareto schedule (-park-min, -park-alpha) to book one seat and park again.
@@ -29,7 +29,7 @@
 // enforces -budget-bytes per parked session, and writes a JSON report with
 // -json (see docs/GATEWAY.md).
 //
-//	gtmd -addr 127.0.0.1:7654 -gateway -seats 1000000 &
+//	gtmd -addr 127.0.0.1:7654 -seats 1000000 &
 //	gtmload -addr 127.0.0.1:7654 -swarm -clients 100000 -conns 8 -duration 10s -json swarm.json
 package main
 
@@ -64,7 +64,7 @@ func main() {
 	bench := flag.Bool("bench", false, "throughput mode: closed-loop workers hammering single-object bookings across every demo resource, no think time; prints tx/s")
 	workers := flag.Int("workers", 32, "concurrent workers in -bench mode")
 	duration := flag.Duration("duration", 5*time.Second, "how long to drive load in -bench and -swarm modes")
-	swarm := flag.Bool("swarm", false, "fleet mode against gtmd -gateway: many mostly-parked sessions multiplexed over few connections; reports parked-session byte cost")
+	swarm := flag.Bool("swarm", false, "fleet mode against gtmd: many mostly-parked sessions multiplexed over few connections; reports parked-session byte cost")
 	swarmClients := flag.Int("clients", 100000, "logical clients (sessions) in -swarm mode")
 	swarmConns := flag.Int("conns", 8, "TCP connections the swarm multiplexes over")
 	swarmWorkers := flag.Int("swarm-workers", 64, "goroutines executing wake-ups in -swarm mode")

@@ -3,15 +3,18 @@
 // per-client cost of the paper's long-running mobile transactions is bytes,
 // not a connection and a goroutine.
 //
-// Where wire.Server binds one client to one connection (and one handler
-// goroutine), the gateway speaks the same protocol with three extensions:
-// gw.attach/gw.detach create, resume and park logical sessions; requests
-// carrying a correlation ID may be answered out of order; and admission
-// control may shed a request with an explicit retry-after hint instead of
-// queueing it unboundedly. Request execution is the same wire.Engine a
-// plain server uses — exactly-once replay, ownership and disconnection
-// semantics included — so a client that reconnects through the gateway
-// gets identical semantics to one that reconnects to a plain server.
+// The gateway is a session layer on wire.Server's connection loop: the
+// server accepts, reads frames, writes responses and counts them, and the
+// gateway claims the frames that belong to logical sessions. That adds
+// three extensions to the protocol: gw.attach/gw.detach create, resume
+// and park logical sessions; requests carrying a correlation ID may be
+// answered out of order; and admission control may shed a request with an
+// explicit retry-after hint instead of queueing it unboundedly. Frames
+// without a session are served by the server in order, one owner per
+// connection, exactly as a bare wire.Server serves them. Request execution
+// is the one wire.Engine — exactly-once replay, ownership and
+// disconnection semantics included — so a client gets identical semantics
+// whichever way it connects.
 //
 // The interesting state is the parked-session table: a session whose
 // client detached (or whose connection died) keeps only a small struct —
@@ -26,7 +29,6 @@ import (
 	"hash/fnv"
 	"io"
 	"log"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -49,8 +51,8 @@ const (
 type Options struct {
 	// Logger receives gateway events; nil silences them.
 	Logger *log.Logger
-	// Obs, when non-nil, receives the gw_* metric family (and the engine's
-	// replay/drain counters).
+	// Obs, when non-nil, receives the gw_* metric family and the server's
+	// wire_* series, which count every frame.
 	Obs *obs.Registry
 
 	// Engine knobs, same semantics as wire.ServerOptions.
@@ -89,19 +91,21 @@ type Options struct {
 	Now func() time.Time
 }
 
-// laneItem is one queued session request.
+// laneItem is one queued session request and the connection it arrived on.
 type laneItem struct {
 	req  *wire.Request
 	sess *session
-	conn *gwConn
+	c    *wire.ServerConn
 	enq  time.Time
 }
 
 // lane is one bounded dispatch queue plus its worker pool.
 type lane struct{ q chan laneItem }
 
-// Server is the gateway front end. Create with NewServer, start with Serve.
+// Server is the gateway front end: a wire.Server whose session layer is
+// the gateway. Create with NewServer, start with Serve.
 type Server struct {
+	*wire.Server
 	e    *wire.Engine
 	log  *log.Logger
 	m    *metrics // nil when observability is off
@@ -114,20 +118,13 @@ type Server struct {
 	// non-sharded backends.
 	routeObj func(string) (int, error)
 
-	ready     chan struct{} // closed once the listener is bound
-	readyOnce sync.Once
-
 	mu          sync.Mutex
-	closed      bool
-	draining    bool
-	ln          net.Listener
-	conns       map[*gwConn]bool
+	stopped     bool
+	stopReap    chan struct{} // non-nil once the lanes and reaper run
 	sessions    map[string]*session
 	parked      int   // sessions with conn == nil
 	parkedBytes int64 // estimated footprint of parked sessions
-	stopReap    chan struct{}
 
-	wg     sync.WaitGroup // connection readers
 	laneWG sync.WaitGroup // lane workers
 }
 
@@ -154,19 +151,18 @@ func NewServer(b wire.Backend, opts Options) *Server {
 		opts.Now = time.Now
 	}
 	s := &Server{
-		e: wire.NewEngine(b, wire.EngineOptions{
-			Logger:        lg,
-			InvokeTimeout: opts.InvokeTimeout,
-			Retention:     opts.Retention,
-			Obs:           opts.Obs,
-		}),
 		log:      lg,
 		opts:     opts,
 		tenants:  newTenantLimiter(opts.TenantRate, opts.TenantBurst),
-		ready:    make(chan struct{}),
-		conns:    make(map[*gwConn]bool),
 		sessions: make(map[string]*session),
 	}
+	s.Server = wire.NewSessionServer(b, wire.ServerOptions{
+		Logger:        lg,
+		InvokeTimeout: opts.InvokeTimeout,
+		Retention:     opts.Retention,
+		Obs:           opts.Obs,
+	}, s)
+	s.e = s.Engine()
 	if opts.Rate > 0 {
 		s.global = newTokenBucket(opts.Rate, opts.Burst, opts.Now())
 	}
@@ -183,124 +179,67 @@ func NewServer(b wire.Backend, opts Options) *Server {
 	return s
 }
 
-// Engine returns the request engine, shared surface with wire.Server.
-func (s *Server) Engine() *wire.Engine { return s.e }
-
 // now reads the configured clock.
 func (s *Server) now() time.Time { return s.opts.Now() }
 
-// Serve listens on addr and handles connections until Close or Drain.
+// Serve starts the dispatch lanes and the parked-session reaper, then
+// serves connections on addr until Close or Drain.
 func (s *Server) Serve(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
-	if s.closed {
+	if s.stopped {
 		s.mu.Unlock()
-		ln.Close()
 		return errors.New("gateway: server closed")
 	}
-	s.ln = ln
-	s.stopReap = make(chan struct{})
-	s.mu.Unlock()
-	s.readyOnce.Do(func() { close(s.ready) })
-	s.e.StartSweep()
-	for _, l := range s.lanes {
-		for i := 0; i < s.opts.LaneWorkers; i++ {
-			s.laneWG.Add(1)
-			go s.laneWorker(l)
-		}
-	}
-	if s.opts.SessionRetention > 0 {
-		go s.reapLoop(s.stopReap)
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
+	if s.stopReap == nil {
+		s.stopReap = make(chan struct{})
+		for _, l := range s.lanes {
+			for i := 0; i < s.opts.LaneWorkers; i++ {
+				s.laneWG.Add(1)
+				go s.laneWorker(l)
 			}
-			return err
 		}
-		c := &gwConn{s: s, c: conn, legacy: wire.NewOwner(conn), bound: make(map[string]*session)}
-		s.mu.Lock()
-		s.conns[c] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			c.readLoop()
-		}()
+		if s.opts.SessionRetention > 0 {
+			go s.reapLoop(s.stopReap)
+		}
 	}
+	s.mu.Unlock()
+	return s.Server.Serve(addr)
 }
-
-// Addr returns the listener address (nil before Serve binds).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Ready returns a channel closed once Serve has bound its listener.
-func (s *Server) Ready() <-chan struct{} { return s.ready }
 
 // Close stops the listener, hangs up every connection and stops the lane
 // workers. Parked sessions' transactions are already asleep; bound
 // sessions' go to sleep as their connections die.
 func (s *Server) Close() error {
-	err := s.shutdown(func() {})
+	err := s.Server.Close()
+	s.stop()
 	return err
 }
 
 // Drain shuts down gracefully: stop accepting, cancel blocking waits, put
 // every live transaction to sleep, wait out in-flight commits, then hang
-// up. The SIGTERM path of gtmd -gateway.
+// up. The SIGTERM path of gtmd.
 func (s *Server) Drain(timeout time.Duration) wire.DrainReport {
-	var rep wire.DrainReport
-	rep.CommitsFlushed = true
-	s.shutdown(func() { rep = s.e.Drain(timeout) })
+	rep := s.Server.Drain(timeout)
+	s.stop()
 	return rep
 }
 
-// shutdown runs the common teardown with mid (the drain step, or nothing)
-// between listener close and connection teardown.
-func (s *Server) shutdown(mid func()) error {
+// stop ends the reaper and the lane workers. It runs once the server's
+// shutdown has returned: every reader is gone, so no frame reaches a lane
+// after its queue closes.
+func (s *Server) stop() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	stopReap := s.stopReap
+	stopped, stopReap := s.stopped, s.stopReap
+	s.stopped = true
 	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
+	if stopped || stopReap == nil {
+		return
 	}
-	if stopReap != nil {
-		close(stopReap)
-	}
-	mid()
-	s.e.Stop() // unblock lane workers parked in invoke/commit waits
-	s.mu.Lock()
-	for c := range s.conns {
-		c.c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait() // readers gone: no more lane enqueues
+	close(stopReap)
 	for _, l := range s.lanes {
 		close(l.q)
 	}
 	s.laneWG.Wait()
-	return err
 }
 
 // SessionCounts reports the session-table population.
@@ -365,7 +304,6 @@ func (s *Server) laneWorker(l *lane) {
 	defer s.laneWG.Done()
 	for it := range l.q {
 		resp := s.e.Serve(it.req, it.sess.owner)
-		resp.ID = it.req.ID
 		if s.m != nil {
 			s.m.dispatches.Inc()
 			s.m.dispatchSeconds.Observe(s.now().Sub(it.enq))
@@ -374,7 +312,7 @@ func (s *Server) laneWorker(l *lane) {
 		// request was queued; answer on the connection it arrived on. If
 		// that connection died, the response is dropped — the client's
 		// retry replays it from the exactly-once window.
-		it.conn.writeResp(resp)
+		it.c.Reply(it.req, resp)
 	}
 }
 
@@ -396,34 +334,60 @@ func (s *Server) route(req *wire.Request) int {
 	return int(h.Sum32()) % len(s.lanes)
 }
 
-// handleRequest classifies one decoded request. Session control and legacy
-// (no-session) requests run inline on the reader goroutine — the latter
-// reproduces a plain server's strict in-order discipline for unmodified
-// clients. Session requests go through admission control and the lanes.
-func (s *Server) handleRequest(c *gwConn, req *wire.Request) {
-	switch {
-	case req.Op == wire.OpGwAttach:
-		c.writeResp(s.attach(c, req))
-	case req.Op == wire.OpGwDetach:
-		c.writeResp(s.detach(c, req))
-	case req.Session == "":
-		resp := s.e.Serve(req, c.legacy)
-		resp.ID = req.ID
-		c.writeResp(resp)
+// Frame claims session control (gw.attach, gw.detach) and every frame that
+// names a session; frames without one fall through to the server's
+// in-order path, which is what unmodified clients expect. Session requests
+// go through admission control and the lanes.
+func (s *Server) Frame(c *wire.ServerConn, req *wire.Request) bool {
+	if req.Session == "" && req.Op != wire.OpGwAttach && req.Op != wire.OpGwDetach {
+		return false
+	}
+	gc, _ := c.Layer.(*gwConn)
+	if gc == nil {
+		gc = &gwConn{c: c, bound: make(map[string]*session)}
+		c.Layer = gc
+	}
+	var resp *wire.Response
+	switch req.Op {
+	case wire.OpGwAttach:
+		resp = s.attach(gc, req)
+	case wire.OpGwDetach:
+		resp = s.detach(gc, req)
 	default:
-		s.dispatchSession(c, req)
+		resp = s.dispatchSession(gc, req)
+	}
+	if resp != nil {
+		c.Reply(req, resp)
+	}
+	return true
+}
+
+// Hangup is the disconnect path: every session bound to c is parked (its
+// live transactions sleep, its table entry survives for a later resume).
+func (s *Server) Hangup(c *wire.ServerConn) {
+	gc, _ := c.Layer.(*gwConn)
+	if gc == nil {
+		return
+	}
+	gc.mu.Lock()
+	bound := gc.bound
+	gc.bound = nil
+	gc.mu.Unlock()
+	for _, sess := range bound {
+		s.park(gc, sess, "disconnect")
 	}
 }
 
-// dispatchSession admits and enqueues one session request.
-func (s *Server) dispatchSession(c *gwConn, req *wire.Request) {
-	c.mu.Lock()
-	sess := c.bound[req.Session]
-	c.mu.Unlock()
+// dispatchSession admits and enqueues one session request. It returns
+// nil once the request is queued (a lane worker answers it), or the
+// refusal to send back now.
+func (s *Server) dispatchSession(gc *gwConn, req *wire.Request) *wire.Response {
+	gc.mu.Lock()
+	sess := gc.bound[req.Session]
+	gc.mu.Unlock()
 	if sess == nil {
-		c.writeResp(&wire.Response{ID: req.ID,
-			Err: fmt.Sprintf("gateway: session %q not attached on this connection (gw.attach first)", req.Session)})
-		return
+		return &wire.Response{
+			Err: fmt.Sprintf("gateway: session %q not attached on this connection (gw.attach first)", req.Session)}
 	}
 	// Admission is charged per transaction, at begin: a parked tier's load
 	// is driven by how many transactions start, not how many ops each runs.
@@ -431,25 +395,24 @@ func (s *Server) dispatchSession(c *gwConn, req *wire.Request) {
 		now := s.now()
 		if s.global != nil {
 			if ok, wait := s.global.take(1, now); !ok {
-				c.writeResp(s.rejected("quota", wait, req))
-				return
+				return s.rejected("quota", wait)
 			}
 		}
 		if ok, wait := s.tenants.take(sess.tenant, now); !ok {
-			c.writeResp(s.rejected("tenant", wait, req))
-			return
+			return s.rejected("tenant", wait)
 		}
 	}
 	l := s.lanes[s.route(req)]
 	select {
-	case l.q <- laneItem{req: req, sess: sess, conn: c, enq: s.now()}:
+	case l.q <- laneItem{req: req, sess: sess, c: gc.c, enq: s.now()}:
+		return nil
 	default:
-		c.writeResp(s.rejected("lane", 0, req))
+		return s.rejected("lane", 0)
 	}
 }
 
 // rejected builds one backpressure rejection and counts it.
-func (s *Server) rejected(reason string, wait time.Duration, req *wire.Request) *wire.Response {
+func (s *Server) rejected(reason string, wait time.Duration) *wire.Response {
 	if wait <= 0 {
 		wait = DefaultRetryAfter
 	}
@@ -459,38 +422,34 @@ func (s *Server) rejected(reason string, wait time.Duration, req *wire.Request) 
 	if s.m != nil {
 		s.m.reject(reason).Inc()
 	}
-	resp := wire.RetryAfterResponse(wait, reason)
-	resp.ID = req.ID
-	return resp
+	return wire.RetryAfterResponse(wait, reason)
 }
 
 // attach creates or resumes the logical session req.Session on c.
 func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return &wire.Response{ID: req.ID, Err: "gateway: gw.attach needs a session id"}
+		return &wire.Response{Err: "gateway: gw.attach needs a session id"}
 	}
 	s.mu.Lock()
 	sess := s.sessions[req.Session]
 	if sess == nil {
 		if s.opts.MaxSessions > 0 && len(s.sessions) >= s.opts.MaxSessions {
 			s.mu.Unlock()
-			return s.rejected("sessions", 0, req)
+			return s.rejected("sessions", 0)
 		}
 		sess = &session{id: req.Session, tenant: req.Tenant, conn: c, lastSeen: s.now()}
 		sess.owner = wire.NewOwner(sess)
 		s.sessions[sess.id] = sess
 		s.mu.Unlock()
-		if !c.bind(sess) {
-			s.park(c, sess, "disconnect") // connection died during attach
-		}
+		c.bind(sess)
 		if s.m != nil {
 			s.m.attachNew.Inc()
 		}
-		return &wire.Response{OK: true, ID: req.ID, Session: sess.id}
+		return &wire.Response{OK: true, Session: sess.id}
 	}
 	if sess.tenant != req.Tenant {
 		s.mu.Unlock()
-		return &wire.Response{ID: req.ID,
+		return &wire.Response{
 			Err: fmt.Sprintf("gateway: session %q belongs to tenant %q", req.Session, sess.tenant)}
 	}
 	old := sess.conn
@@ -521,13 +480,11 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 		owned = append(owned, tx)
 	}
 	sort.Strings(owned)
-	if !c.bind(sess) {
-		s.park(c, sess, "disconnect")
-	}
+	c.bind(sess)
 	if s.m != nil {
 		s.m.attachResume.Inc()
 	}
-	return &wire.Response{OK: true, ID: req.ID, Session: sess.id, Resumed: true, OwnedTxs: owned}
+	return &wire.Response{OK: true, Session: sess.id, Resumed: true, OwnedTxs: owned}
 }
 
 // detach parks the session explicitly: live transactions go to sleep, the
@@ -535,7 +492,7 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 // connection no longer holds is a no-op.
 func (s *Server) detach(c *gwConn, req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return &wire.Response{ID: req.ID, Err: "gateway: gw.detach needs a session id"}
+		return &wire.Response{Err: "gateway: gw.detach needs a session id"}
 	}
 	s.mu.Lock()
 	sess := s.sessions[req.Session]
@@ -544,7 +501,7 @@ func (s *Server) detach(c *gwConn, req *wire.Request) *wire.Response {
 		c.unbind(sess.id)
 		s.park(c, sess, "detach")
 	}
-	return &wire.Response{OK: true, ID: req.ID, Session: req.Session}
+	return &wire.Response{OK: true, Session: req.Session}
 }
 
 // park moves sess to the parked table if it is still bound to c — the
@@ -575,29 +532,21 @@ func (s *Server) park(c *gwConn, sess *session, cause string) {
 	}
 }
 
-// gwConn is one multiplexed client connection: a reader goroutine, a write
-// lock serializing response frames, and the set of sessions bound here.
+// gwConn is the gateway's state for one client connection: the sessions
+// bound to it. Attach binds on the connection's reader goroutine, the same
+// goroutine that later reports the hang-up, so no bind follows Hangup.
 type gwConn struct {
-	s      *Server
-	c      net.Conn
-	legacy *wire.Owner // owner for no-session requests, scoped to the conn
+	c *wire.ServerConn
 
-	wmu sync.Mutex // serializes response frames
-
-	mu     sync.Mutex
-	bound  map[string]*session
-	closed bool
+	mu    sync.Mutex
+	bound map[string]*session
 }
 
-// bind attaches sess to this connection; false if the connection is gone.
-func (c *gwConn) bind(sess *session) bool {
+// bind attaches sess to this connection.
+func (c *gwConn) bind(sess *session) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
 	c.bound[sess.id] = sess
-	return true
+	c.mu.Unlock()
 }
 
 // unbind forgets a session (takeover or detach).
@@ -605,51 +554,4 @@ func (c *gwConn) unbind(id string) {
 	c.mu.Lock()
 	delete(c.bound, id)
 	c.mu.Unlock()
-}
-
-// writeResp writes one response frame; write failures are dropped (the
-// reader notices the dead connection and parks its sessions).
-func (c *gwConn) writeResp(resp *wire.Response) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := wire.WriteMsg(c.c, resp); err != nil {
-		c.s.log.Printf("gateway: write to %s: %v", c.c.RemoteAddr(), err)
-	}
-}
-
-// readLoop decodes and routes request frames until the connection dies,
-// then parks every session bound here.
-func (c *gwConn) readLoop() {
-	defer c.teardown()
-	for {
-		req := &wire.Request{} // fresh per request: lane items keep pointers
-		if err := wire.ReadMsg(c.c, req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				c.s.log.Printf("gateway: read from %s: %v", c.c.RemoteAddr(), err)
-			}
-			return
-		}
-		c.s.handleRequest(c, req)
-	}
-}
-
-// teardown is the disconnect path: every session bound here is parked (its
-// live transactions sleep, its table entry survives for a later resume).
-func (c *gwConn) teardown() {
-	c.c.Close()
-	c.mu.Lock()
-	c.closed = true
-	bound := make([]*session, 0, len(c.bound))
-	for _, sess := range c.bound {
-		bound = append(bound, sess)
-	}
-	c.bound = nil
-	c.mu.Unlock()
-	for _, sess := range bound {
-		c.s.park(c, sess, "disconnect")
-	}
-	c.s.e.DisconnectOwner(c.legacy)
-	c.s.mu.Lock()
-	delete(c.s.conns, c)
-	c.s.mu.Unlock()
 }

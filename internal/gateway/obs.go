@@ -7,8 +7,9 @@ import (
 // metrics is the gateway tier's gw_* metric family. Counters cover the
 // session lifecycle (attach/park/expire), admission rejections by saturated
 // resource, and dispatch volume/latency; gauges (registered in newMetrics
-// against live server state) cover connections, session population, parked
-// bytes and lane backlog. docs/OBSERVABILITY.md documents how to read them.
+// against live server state) cover session population, parked bytes and lane
+// backlog; the server's wire_* series count connections and frames.
+// docs/OBSERVABILITY.md documents how to read them.
 type metrics struct {
 	attachNew      *obs.Counter
 	attachResume   *obs.Counter
@@ -42,11 +43,6 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 		dispatches:      reg.Counter(obs.NameGwDispatches, "Session requests run through dispatch lanes."),
 		dispatchSeconds: reg.Histogram(obs.NameGwDispatchSeconds, "Session request latency, lane enqueue to response written.", nil),
 	}
-	reg.GaugeFunc(obs.NameGwConnsActive, "Currently open gateway client connections.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.conns))
-	})
 	reg.GaugeFunc(obs.NameGwSessionsActive, "Sessions currently bound to a connection.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()

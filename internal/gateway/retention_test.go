@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -47,21 +46,11 @@ func newClockedGateway(t *testing.T) (*Server, *fakeClock) {
 	return s, clk
 }
 
-// testConn fabricates a gwConn over a net.Pipe so attach/detach can run
-// without a listener. Responses written to it are drained by a goroutine.
+// testConn fabricates a connection's gateway state without a listener, so
+// attach/detach can run directly; none of them writes to the connection.
 func testConn(t *testing.T, s *Server) *gwConn {
 	t.Helper()
-	client, server := net.Pipe()
-	t.Cleanup(func() { client.Close(); server.Close() })
-	go func() { // drain anything writeResp emits
-		buf := make([]byte, 1024)
-		for {
-			if _, err := client.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	return &gwConn{s: s, c: server, legacy: wire.NewOwner(server), bound: make(map[string]*session)}
+	return &gwConn{bound: make(map[string]*session)}
 }
 
 func attachOK(t *testing.T, s *Server, c *gwConn, id string) *wire.Response {

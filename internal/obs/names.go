@@ -98,7 +98,6 @@ const (
 
 	// Gateway tier (internal/gateway). See docs/GATEWAY.md for the
 	// saturation runbook these feed.
-	NameGwConnsActive      = "gw_connections_active"      // gauge: open client connections
 	NameGwSessionsActive   = "gw_sessions_active"         // gauge: sessions bound to a connection
 	NameGwSessionsParked   = "gw_sessions_parked"         // gauge: sessions in the parked table
 	NameGwParkedBytes      = "gw_parked_session_bytes"    // gauge: estimated bytes held by parked sessions

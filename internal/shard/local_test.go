@@ -203,3 +203,57 @@ func TestOpenLocalPurgesSleepJournal(t *testing.T) {
 		t.Fatal("the earlier process life's sleeper came back")
 	}
 }
+
+// TestSleepAfterCommitLeavesNoJournalRow: Sleep on a finished session
+// journals a row before the core refuses the sleep. The refusal must delete
+// that row, or the next Restart adopts the committed transaction as an
+// empty sleeper.
+func TestSleepAfterCommitLeavesNoJournalRow(t *testing.T) {
+	tc := newTestCluster(t, 1, 1, 10, false)
+	ctx := context.Background()
+	obj := core.ObjectID(objectID(tc.keys[0][0]))
+	s := tc.shards[0]
+
+	sess, err := s.Begin("done")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Invoke(ctx, obj, sem.Op{Class: sem.AddSub}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Apply(obj, sem.Int(-1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Sleep(); err == nil {
+		t.Fatal("Sleep on a committed transaction succeeded")
+	}
+
+	s.Kill()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	adopted := len(s.adopted)
+	s.mu.Unlock()
+	if adopted != 0 {
+		t.Fatalf("restart adopted %d sleepers, want 0", adopted)
+	}
+	rows := 0
+	tx := s.DB().Begin()
+	if err := tx.Scan(ctx, SleepTable, func(string, ldbs.Row) bool {
+		rows++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Rollback()
+	if rows != 0 {
+		t.Fatalf("sleep journal holds %d rows, want 0", rows)
+	}
+	if got := tc.free(t, tc.keys[0][0]); got != 9 {
+		t.Fatalf("Free = %d, want 9", got)
+	}
+}

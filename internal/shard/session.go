@@ -329,7 +329,16 @@ func (ss *session) Sleep() error {
 	ss.journaled = true
 	ss.mu.Unlock()
 	ss.shard.persistSleepState(ss.gen, ss.tx, ops)
-	return ss.c.Sleep()
+	err := ss.c.Sleep()
+	if err != nil {
+		// The core refused (the transaction committed, say): a row left
+		// behind would come back as an empty sleeper on the next Restart.
+		// A transaction that is asleep already keeps its row.
+		if st, serr := ss.c.State(); serr != nil || st != core.StateSleeping {
+			ss.shard.clearSleepState(ss.gen, ss.tx)
+		}
+	}
+	return err
 }
 
 func (ss *session) Awake() (bool, error) {

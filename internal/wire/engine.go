@@ -633,9 +633,9 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true, Txs: e.b.Transactions()}
 
 	case OpGwAttach, OpGwDetach:
-		// Session control belongs to the gateway front end (internal/
-		// gateway intercepts these before Serve); a plain server refuses.
-		return fail(errors.New("wire: not a gateway (gw.attach/gw.detach need gtmd -gateway)"))
+		// Session control belongs to the gateway's session layer, which
+		// claims these frames before Serve; a bare Server refuses.
+		return fail(errors.New("wire: not a gateway (gw.attach/gw.detach need a server with the gateway session layer)"))
 
 	default:
 		return fail(fmt.Errorf("wire: unknown op %q", req.Op))

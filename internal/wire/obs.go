@@ -10,16 +10,13 @@ import (
 // frame counts, per-op request counters, and one request-latency histogram.
 // Built when the server is given an obs.Registry (ServerOptions.Obs).
 type serverMetrics struct {
-	reg         *obs.Registry
-	connsOpen   *obs.Counter
-	framesIn    *obs.Counter
-	framesOut   *obs.Counter
-	errors      *obs.Counter
-	replays     *obs.Counter
-	drainSleeps *obs.Counter
-	latency     *obs.Histogram
-	reqs        map[Op]*obs.Counter
-	reqOther    *obs.Counter
+	connsOpen *obs.Counter
+	framesIn  *obs.Counter
+	framesOut *obs.Counter
+	errors    *obs.Counter
+	latency   *obs.Histogram
+	reqs      map[Op]*obs.Counter
+	reqOther  *obs.Counter
 }
 
 // allOps enumerates the protocol vocabulary for per-op counter registration.
@@ -33,17 +30,13 @@ var allOps = []Op{
 // current connection count for the gauge (called at exposition time).
 func newServerMetrics(reg *obs.Registry, activeConns func() float64) *serverMetrics {
 	m := &serverMetrics{
-		reg:       reg,
 		connsOpen: reg.Counter(obs.NameWireConnections, "TCP connections accepted."),
 		framesIn:  reg.Counter(obs.NameWireFramesIn, "Request frames read."),
 		framesOut: reg.Counter(obs.NameWireFramesOut, "Response frames written."),
 		errors:    reg.Counter(obs.NameWireRequestErrors, "Requests answered with ok:false."),
-		replays:   reg.Counter(obs.NameWireReplayedResponses, "Retried mutating requests answered from the exactly-once window."),
-		drainSleeps: reg.Counter(obs.NameDrainSleeping,
-			"Live transactions put to sleep by a graceful drain."),
-		latency:  reg.Histogram(obs.NameWireRequestSeconds, "Request handling latency (including blocking waits).", nil),
-		reqs:     make(map[Op]*obs.Counter, len(allOps)),
-		reqOther: reg.Counter(obs.WithLabel(obs.NameWireRequests, "op", "unknown"), "Requests by protocol op."),
+		latency:   reg.Histogram(obs.NameWireRequestSeconds, "Request handling latency (including blocking waits).", nil),
+		reqs:      make(map[Op]*obs.Counter, len(allOps)),
+		reqOther:  reg.Counter(obs.WithLabel(obs.NameWireRequests, "op", "unknown"), "Requests by protocol op."),
 	}
 	for _, op := range allOps {
 		m.reqs[op] = reg.Counter(obs.WithLabel(obs.NameWireRequests, "op", string(op)), "Requests by protocol op.")

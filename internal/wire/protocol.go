@@ -59,8 +59,8 @@ const (
 	OpReplay  Op = "replay"  // re-apply a logged decision after participant recovery
 	OpShards  Op = "shards"  // shard topology and object routing
 
-	// Gateway session control (gtmd -gateway; a plain server answers both
-	// with an error). gw.attach creates or resumes a logical session on
+	// Gateway session control (every gtmd serves the gateway; a bare
+	// wire.Server answers both with an error). gw.attach creates or resumes a logical session on
 	// this connection; gw.detach parks it — the session survives, costing
 	// bytes in the gateway's parked-session table instead of a connection
 	// and a goroutine. See docs/GATEWAY.md.
@@ -212,6 +212,10 @@ type Request struct {
 	// only read-class invokes and reads; commit and abort both just release
 	// the snapshot's pin. Ignored on every other op.
 	ReadOnly bool `json:"read_only,omitempty"`
+
+	// read is when the server read this frame, the start of its
+	// wire_request_seconds sample; zero when observability is off.
+	read time.Time
 }
 
 // SSTWriteJSON is the wire form of one Secure System Transaction write.

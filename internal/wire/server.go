@@ -12,33 +12,54 @@ import (
 	"preserial/internal/obs"
 )
 
-// Server exposes a core.Manager (or any Backend) over TCP with the classic
-// one-goroutine-per-connection front end. Request execution — the tx-id →
-// Session registry, exactly-once replay, ownership and disconnection
-// semantics — lives in Engine; the server owns the listener, framing, and
-// connection lifecycle. Transactions whose connection vanishes are put to
-// sleep, not aborted. For a front end that multiplexes many logical
-// sessions over few connections, see internal/gateway.
+// Server exposes a core.Manager (or any Backend) over TCP. It is the one
+// connection loop of the middleware: it listens, accepts, reads request
+// frames, writes responses, counts every frame in the wire_* series and
+// runs the Close/Drain lifecycle. Request execution — the tx-id → Session
+// registry, exactly-once replay, ownership and disconnection semantics —
+// lives in Engine. Each frame is served inline, in order, on its
+// connection's Owner unless the server's SessionLayer claims it; the
+// gateway (internal/gateway) is that layer, multiplexing many logical
+// sessions over one connection. Transactions whose connection vanishes are
+// put to sleep, not aborted.
 type Server struct {
 	e       *Engine
+	layer   SessionLayer // nil: every frame is served inline
 	ln      net.Listener
 	log     *log.Logger
-	obs     *obs.Registry  // nil when observability is off
 	metrics *serverMetrics // nil when observability is off
 
 	ready     chan struct{} // closed once the listener is bound
 	readyOnce sync.Once
 
-	mu       sync.Mutex
-	closed   bool
-	draining bool
-	conns    map[net.Conn]bool
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
+	conns  map[*ServerConn]bool
+	wg     sync.WaitGroup
 }
 
-// Manager is the narrow surface the server needs from core.Manager — an
-// alias kept for readability.
-type Manager = core.Manager
+// SessionLayer is a front end's hook into the server's connection loop.
+type SessionLayer interface {
+	// Frame offers req, read from c, to the layer. A layer that claims the
+	// frame answers it with c.Reply, now or later, and returns true; false
+	// lets the server serve it inline on c's owner. Frame runs on c's
+	// reader goroutine, so the calls for one connection never overlap.
+	Frame(c *ServerConn, req *Request) bool
+	// Hangup reports that c closed. No Frame call for c follows.
+	Hangup(c *ServerConn)
+}
+
+// ServerConn is one accepted client connection.
+type ServerConn struct {
+	// Layer is the session layer's state for this connection; the server
+	// never touches it.
+	Layer any
+
+	s     *Server
+	nc    net.Conn
+	owner *Owner     // drives the frames served inline
+	wmu   sync.Mutex // serializes response frames: a layer answers out of order
+}
 
 // ServerOptions configures Serve.
 type ServerOptions struct {
@@ -65,6 +86,12 @@ func NewServer(m *core.Manager, opts ServerOptions) *Server {
 // protocol, disconnection semantics, dedup replay and sweeping are
 // identical to the single-manager deployment.
 func NewBackendServer(b Backend, opts ServerOptions) *Server {
+	return NewSessionServer(b, opts, nil)
+}
+
+// NewSessionServer is NewBackendServer with a session layer that is
+// offered every frame before the server serves it.
+func NewSessionServer(b Backend, opts ServerOptions, layer SessionLayer) *Server {
 	lg := opts.Logger
 	if lg == nil {
 		lg = log.New(io.Discard, "", 0)
@@ -76,13 +103,13 @@ func NewBackendServer(b Backend, opts ServerOptions) *Server {
 			Retention:     opts.Retention,
 			Obs:           opts.Obs,
 		}),
+		layer: layer,
 		log:   lg,
-		obs:   opts.Obs,
 		ready: make(chan struct{}),
-		conns: make(map[net.Conn]bool),
+		conns: make(map[*ServerConn]bool),
 	}
-	if s.obs != nil {
-		s.metrics = newServerMetrics(s.obs, func() float64 {
+	if opts.Obs != nil {
+		s.metrics = newServerMetrics(opts.Obs, func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.conns))
@@ -122,13 +149,14 @@ func (s *Server) Serve(addr string) error {
 			}
 			return err
 		}
+		c := &ServerConn{s: s, nc: conn, owner: NewOwner(conn)}
 		s.mu.Lock()
-		s.conns[conn] = true
+		s.conns[c] = true
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn)
+			s.handle(c)
 		}()
 	}
 }
@@ -154,7 +182,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	ln := s.ln
 	for c := range s.conns {
-		c.Close()
+		c.nc.Close()
 	}
 	s.mu.Unlock()
 	s.e.Stop() // unblock handlers parked in invoke/commit waits
@@ -175,11 +203,10 @@ func (s *Server) Close() error {
 // the WAL and exit cleanly.
 func (s *Server) Drain(timeout time.Duration) DrainReport {
 	s.mu.Lock()
-	if s.draining || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		return DrainReport{CommitsFlushed: true}
 	}
-	s.draining = true
 	s.closed = true
 	ln := s.ln
 	s.mu.Unlock()
@@ -191,7 +218,7 @@ func (s *Server) Drain(timeout time.Duration) DrainReport {
 
 	s.mu.Lock()
 	for c := range s.conns {
-		c.Close()
+		c.nc.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -205,43 +232,68 @@ func (s *Server) Sweep(olderThan time.Duration) []string {
 	return s.e.Sweep(olderThan)
 }
 
-// handle runs one connection's request loop.
-func (s *Server) handle(conn net.Conn) {
+// handle runs one connection's read loop.
+func (s *Server) handle(c *ServerConn) {
 	defer func() {
-		conn.Close()
+		c.nc.Close()
+		if s.layer != nil {
+			s.layer.Hangup(c)
+		}
+		s.e.DisconnectOwner(c.owner)
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	owner := NewOwner(conn)
-	defer s.e.DisconnectOwner(owner)
-	if s.metrics != nil {
-		s.metrics.connsOpen.Inc()
+	m := s.metrics
+	if m != nil {
+		m.connsOpen.Inc()
 	}
 
 	for {
-		var req Request
-		if err := ReadMsg(conn, &req); err != nil {
+		req := &Request{} // fresh per frame: a session layer may queue it
+		if err := ReadMsg(c.nc, req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("wire: read from %s: %v", conn.RemoteAddr(), err)
+				s.log.Printf("wire: read from %s: %v", c.nc.RemoteAddr(), err)
 			}
 			return
 		}
-		start := time.Now()
-		if s.metrics != nil {
-			s.metrics.framesIn.Inc()
-			s.metrics.countOp(req.Op)
+		if m != nil {
+			req.read = time.Now()
+			m.framesIn.Inc()
+			m.countOp(req.Op)
 		}
-		resp := s.e.Serve(&req, owner)
-		if s.metrics != nil {
-			s.metrics.observe(start, resp.OK)
+		if s.layer != nil && s.layer.Frame(c, req) {
+			continue
 		}
-		if err := WriteMsg(conn, resp); err != nil {
-			s.log.Printf("wire: write to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if s.metrics != nil {
-			s.metrics.framesOut.Inc()
-		}
+		c.Reply(req, s.e.Serve(req, c.owner))
+	}
+}
+
+// Reply answers req on this connection: it echoes req's correlation ID,
+// records the request in the wire_* series and writes the response frame
+// under the connection's write lock. A failed write hangs the connection
+// up; a client that retries gets the answer from the exactly-once window.
+func (c *ServerConn) Reply(req *Request, resp *Response) {
+	if resp.ID != req.ID {
+		// Copy rather than stamp: the engine may share resp with its
+		// replay window, which other connections read.
+		r := *resp
+		r.ID = req.ID
+		resp = &r
+	}
+	m := c.s.metrics
+	if m != nil {
+		m.observe(req.read, resp.OK)
+	}
+	c.wmu.Lock()
+	err := WriteMsg(c.nc, resp)
+	c.wmu.Unlock()
+	if err != nil {
+		c.s.log.Printf("wire: write to %s: %v", c.nc.RemoteAddr(), err)
+		c.nc.Close()
+		return
+	}
+	if m != nil {
+		m.framesOut.Inc()
 	}
 }

@@ -135,6 +135,43 @@ func BenchmarkConflictQueueCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockedInvoke measures a conflicting invocation, whose deadlock
+// check runs inside the monitor, beside 16 and 16 384 registered objects.
+// One holder keeps o0; each iteration begins a waiter, blocks it on o0,
+// aborts it and forgets it. The two figures must agree (within 2x): the
+// check walks the wait queues it reaches, not the registry.
+func BenchmarkBlockedInvoke(b *testing.B) {
+	for _, objects := range []int{16, 16384} {
+		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
+			m := virtualManager(b, objects)
+			assign := sem.Op{Class: sem.Assign}
+			if err := m.Begin("h"); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.Invoke("h", "o0", assign); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := TxID(fmt.Sprintf("w%d", i))
+				if err := m.Begin(id); err != nil {
+					b.Fatal(err)
+				}
+				if granted, err := m.Invoke(id, "o0", assign); err != nil || granted {
+					b.Fatal(granted, err)
+				}
+				if err := m.Abort(id); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Forget(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkClientRoundTrip measures the blocking Client façade.
 func BenchmarkClientRoundTrip(b *testing.B) {
 	m := benchManager(b)

@@ -8,6 +8,7 @@ import (
 
 	"preserial/internal/clock"
 	"preserial/internal/sem"
+	"preserial/internal/waitfor"
 )
 
 // Stats are monotonically increasing GTM counters.
@@ -243,8 +244,7 @@ func (m *Manager) Invoke(txID TxID, objID ObjectID, op sem.Op) (granted bool, er
 		if reason == admitConflict {
 			cause = "conflict"
 			// Refuse waits that would deadlock.
-			blockers := o.conflictingHolders(txID, op)
-			if m.opts.detectDeadlocks && m.wouldDeadlockLocked(txID, blockers) {
+			if m.wouldDeadlockLocked(txID, o.conflictingHolders(txID, op)) {
 				return false, fmt.Errorf("%w: %s waiting on %s", ErrDeadlock, txID, objID)
 			}
 			if m.obs != nil {
@@ -1002,36 +1002,40 @@ func (m *Manager) dispatchLocked(o *object) {
 }
 
 // wouldDeadlockLocked reports whether txID waiting on blockers closes a cycle in
-// the wait-for graph built from the current object states.
+// the wait-for graph, read off the current object states.
 func (m *Manager) wouldDeadlockLocked(txID TxID, blockers []TxID) bool {
-	edges := m.waitEdgesLocked()
-	seen := make(map[TxID]bool)
-	var reaches func(TxID) bool
-	reaches = func(from TxID) bool {
-		if from == txID {
-			return true
-		}
-		if seen[from] {
-			return false
-		}
-		seen[from] = true
-		for _, next := range edges[from] {
-			if reaches(next) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, b := range blockers {
-		if reaches(b) {
-			return true
-		}
-	}
-	return false
+	return waitfor.Closes(txID, blockers, m.outEdgesLocked)
 }
 
-// waitEdgesLocked builds the wait-for graph: waiting transactions point at the
-// holders that block them, queued committers at the committer-slot holder.
+// outEdgesLocked returns the transactions id waits for: the blocking holders
+// of each object it waits on while awake, and the committer-slot holder of
+// each object it is queued to commit on.
+func (m *Manager) outEdgesLocked(id TxID) []TxID {
+	t := m.txs[id]
+	if t == nil {
+		return nil
+	}
+	var out []TxID
+	for _, o := range t.objects {
+		if w := o.waiterFor(id); w != nil && !w.sleeping {
+			out = append(out, o.conflictingHolders(id, w.op)...)
+		}
+		if !containsTx(o.commitQ, id) {
+			continue
+		}
+		for i := range o.holders {
+			if h := &o.holders[i]; h.flags&holdCommitting != 0 {
+				out = append(out, h.tx)
+			}
+		}
+	}
+	return out
+}
+
+// waitEdgesLocked builds the whole wait-for graph from every object, for
+// WaitGraph: waiting transactions point at the holders that block them,
+// queued committers at the committer-slot holder. The deadlock check reads
+// the same edges per transaction (outEdgesLocked) instead.
 func (m *Manager) waitEdgesLocked() map[TxID][]TxID {
 	edges := make(map[TxID][]TxID)
 	for _, o := range m.objs.all {

@@ -472,28 +472,6 @@ func TestDeadlockDetectedOnInvoke(t *testing.T) {
 	mustState(t, m, "A", StateActive) // granted Y after B's abort
 }
 
-func TestDeadlockDetectionCanBeDisabled(t *testing.T) {
-	m, store, _ := testManager(t, WithDeadlockDetection(false))
-	refY := StoreRef{Table: "T", Key: "Y", Column: "v"}
-	store.Seed(refY, sem.Int(7))
-	if err := m.RegisterAtomicObject("Y", refY); err != nil {
-		t.Fatal(err)
-	}
-	mustBegin(t, m, "A")
-	mustBegin(t, m, "B")
-	mustInvoke(t, m, "A", "X", assignOp)
-	mustInvoke(t, m, "B", "Y", assignOp)
-	if granted, _ := m.Invoke("A", "Y", assignOp); granted {
-		t.Fatal("A must wait")
-	}
-	granted, err := m.Invoke("B", "X", assignOp)
-	if err != nil || granted {
-		t.Fatalf("with detection off the wait is accepted: %v %v", granted, err)
-	}
-	mustState(t, m, "A", StateWaiting)
-	mustState(t, m, "B", StateWaiting)
-}
-
 func TestOneInvocationPerObject(t *testing.T) {
 	m, _, _ := testManager(t)
 	mustBegin(t, m, "A")

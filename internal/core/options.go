@@ -16,7 +16,6 @@ type ConflictFunc func(a, b sem.Op, deps *sem.Dependencies) bool
 // options is the resolved manager configuration.
 type options struct {
 	clk                   clock.Clock
-	detectDeadlocks       bool
 	usePriorities         bool
 	incompatibleWaiterCap int
 	headroom              func(ObjectID, sem.Value) int
@@ -34,10 +33,7 @@ type options struct {
 }
 
 func defaultOptions() options {
-	return options{
-		detectDeadlocks: true,
-		conflict:        sem.OpsConflict,
-	}
+	return options{conflict: sem.OpsConflict}
 }
 
 // Option configures a Manager.
@@ -46,14 +42,6 @@ type Option func(*options)
 // WithClock replaces the wall clock (simulations pass clock.Simulator).
 func WithClock(c clock.Clock) Option {
 	return func(o *options) { o.clk = c }
-}
-
-// WithDeadlockDetection toggles wait-for-graph checking at invocation time
-// (default on). With detection off, deadlocked transactions wait forever
-// unless an external timeout aborts them — the paper's note that classical
-// timeout techniques apply unchanged.
-func WithDeadlockDetection(on bool) Option {
-	return func(o *options) { o.detectDeadlocks = on }
 }
 
 // WithPriorities orders waiter admission by transaction priority (then

@@ -102,9 +102,12 @@ func TestSupervisorZeroConfigIsInert(t *testing.T) {
 }
 
 func TestSupervisorBreaksUndetectedDeadlock(t *testing.T) {
-	// With invocation-time detection off, a cross-object deadlock persists
-	// until the wait-timeout victim policy fires.
-	m, store, clk := testManager(t, WithDeadlockDetection(false))
+	// A policy wait adds no wait-for edge, so a cycle through one escapes
+	// the invocation-time check and persists until the wait-timeout victim
+	// policy fires. Headroom 1 admits one updater per object: B's add/sub
+	// on X queues behind A's for policy, and A's assign on Y then waits on
+	// B's conflicting assign.
+	m, store, clk := testManager(t, WithHeadroom(func(ObjectID, sem.Value) int { return 1 }))
 	refY := StoreRef{Table: "T", Key: "Y", Column: "v"}
 	store.Seed(refY, sem.Int(1))
 	if err := m.RegisterAtomicObject("Y", refY); err != nil {
@@ -112,13 +115,13 @@ func TestSupervisorBreaksUndetectedDeadlock(t *testing.T) {
 	}
 	mustBegin(t, m, "A")
 	mustBegin(t, m, "B")
-	mustInvoke(t, m, "A", "X", assignOp)
 	mustInvoke(t, m, "B", "Y", assignOp)
-	if granted, _ := m.Invoke("A", "Y", assignOp); granted {
-		t.Fatal("A must wait")
+	mustInvoke(t, m, "A", "X", addOp)
+	if granted, err := m.Invoke("B", "X", addOp); granted || err != nil {
+		t.Fatalf("B must queue for headroom: granted=%v err=%v", granted, err)
 	}
-	if granted, _ := m.Invoke("B", "X", assignOp); granted {
-		t.Fatal("B must wait (deadlock formed)")
+	if granted, err := m.Invoke("A", "Y", assignOp); granted || err != nil {
+		t.Fatalf("A must wait on B (deadlock formed): granted=%v err=%v", granted, err)
 	}
 	clk.Advance(time.Minute)
 	rep := m.Supervise(SupervisorConfig{WaitTimeout: 30 * time.Second})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"preserial/internal/obs"
+	"preserial/internal/waitfor"
 )
 
 // LockMode is a multigranularity lock mode. Tables take intent locks (IS,
@@ -94,11 +95,10 @@ func (r resource) String() string {
 
 // waiter is a queued lock request.
 type waiter struct {
-	tx        uint64
-	mode      LockMode // the full target mode (held ⊔ requested for upgrades)
-	upgrade   bool     // tx already holds a weaker mode on the resource
-	ready     chan error
-	blockedOn []uint64 // WFG edges charged to this waiter
+	tx      uint64
+	mode    LockMode // the full target mode (held ⊔ requested for upgrades)
+	upgrade bool     // tx already holds a weaker mode on the resource
+	ready   chan error
 }
 
 // lockState is the per-resource lock table entry.
@@ -109,13 +109,14 @@ type lockState struct {
 
 // lockManager implements strict 2PL with FIFO queues, upgrade priority and
 // immediate wait-for-graph deadlock detection (the requester whose wait
-// would create a cycle receives ErrDeadlock).
+// would create a cycle receives ErrDeadlock). The graph is not stored: a
+// transaction's out-edges are the blockers of its queued waiters, read off
+// the lock table as it stands.
 type lockManager struct {
-	mu       sync.Mutex
-	locks    map[resource]*lockState
-	held     map[uint64]map[resource]LockMode // per-tx held locks, for release
-	queued   map[uint64]map[*waiter]resource  // per-tx queued waiters, for release
-	waitsFor map[uint64]map[uint64]int        // edge multiplicity in the WFG
+	mu     sync.Mutex
+	locks  map[resource]*lockState
+	held   map[uint64]map[resource]LockMode // per-tx held locks, for release
+	queued map[uint64]map[*waiter]resource  // per-tx queued waiters, for release and the WFG
 
 	// Live metrics, nil unless the DB was opened with Options.Obs.
 	waits       *obs.Counter
@@ -124,66 +125,26 @@ type lockManager struct {
 
 func newLockManager() *lockManager {
 	return &lockManager{
-		locks:    make(map[resource]*lockState),
-		held:     make(map[uint64]map[resource]LockMode),
-		queued:   make(map[uint64]map[*waiter]resource),
-		waitsFor: make(map[uint64]map[uint64]int),
+		locks:  make(map[resource]*lockState),
+		held:   make(map[uint64]map[resource]LockMode),
+		queued: make(map[uint64]map[*waiter]resource),
 	}
 }
 
-// addEdge records that a waits for b.
-func (lm *lockManager) addEdge(a, b uint64) {
-	if a == b {
-		return
-	}
-	m := lm.waitsFor[a]
-	if m == nil {
-		m = make(map[uint64]int)
-		lm.waitsFor[a] = m
-	}
-	m[b]++
-}
-
-// dropEdge removes one a-waits-for-b edge.
-func (lm *lockManager) dropEdge(a, b uint64) {
-	if m := lm.waitsFor[a]; m != nil {
-		if m[b] <= 1 {
-			delete(m, b)
-			if len(m) == 0 {
-				delete(lm.waitsFor, a)
-			}
-		} else {
-			m[b]--
-		}
-	}
-}
-
-// wouldDeadlock reports whether adding edges from tx to each blocker closes
-// a cycle (i.e. some blocker transitively waits for tx).
+// wouldDeadlock reports whether tx waiting for blockers closes a cycle in
+// the wait-for graph.
 func (lm *lockManager) wouldDeadlock(tx uint64, blockers []uint64) bool {
-	seen := make(map[uint64]bool)
-	var reaches func(from uint64) bool
-	reaches = func(from uint64) bool {
-		if from == tx {
-			return true
-		}
-		if seen[from] {
-			return false
-		}
-		seen[from] = true
-		for next := range lm.waitsFor[from] {
-			if reaches(next) {
-				return true
-			}
-		}
-		return false
+	return waitfor.Closes(tx, blockers, lm.outEdgesLocked)
+}
+
+// outEdgesLocked returns the transactions tx waits for: the blockers of each
+// of its queued waiters, as the lock table stands now.
+func (lm *lockManager) outEdgesLocked(tx uint64) []uint64 {
+	var out []uint64
+	for w, res := range lm.queued[tx] {
+		out = append(out, lm.locks[res].blockersOf(w.tx, w.mode, w.upgrade, w)...)
 	}
-	for _, b := range blockers {
-		if reaches(b) {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // blockersOf returns the transactions whose held or queued-ahead locks
@@ -272,10 +233,6 @@ func (lm *lockManager) Acquire(ctx context.Context, tx uint64, res resource, mod
 		lm.mu.Unlock()
 		return fmt.Errorf("%w: tx %d requesting %s on %s", ErrDeadlock, tx, want, res)
 	}
-	for _, b := range blockers {
-		lm.addEdge(tx, b)
-	}
-	w.blockedOn = blockers
 	if holding {
 		// Upgrades go to the front so they are examined before fresh
 		// requests when locks free up.
@@ -344,7 +301,7 @@ func (lm *lockManager) unindexWaiterLocked(w *waiter) {
 	}
 }
 
-// removeWaiterLocked deletes w from the queue and clears its WFG edges.
+// removeWaiterLocked deletes w from the queue.
 func (lm *lockManager) removeWaiterLocked(st *lockState, res resource, w *waiter) {
 	for i, q := range st.queue {
 		if q == w {
@@ -353,10 +310,6 @@ func (lm *lockManager) removeWaiterLocked(st *lockState, res resource, w *waiter
 		}
 	}
 	lm.unindexWaiterLocked(w)
-	for _, b := range w.blockedOn {
-		lm.dropEdge(w.tx, b)
-	}
-	w.blockedOn = nil
 	lm.dispatchLocked(st, res)
 }
 
@@ -370,10 +323,6 @@ func (lm *lockManager) dispatchLocked(st *lockState, res resource) {
 			if st.grantable(w) {
 				lm.grantLocked(st, res, w.tx, w.mode)
 				lm.unindexWaiterLocked(w)
-				for _, b := range w.blockedOn {
-					lm.dropEdge(w.tx, b)
-				}
-				w.blockedOn = nil
 				// Remove from queue.
 				for i, q := range st.queue {
 					if q == w {
@@ -416,10 +365,6 @@ func (lm *lockManager) ReleaseAll(tx uint64) {
 				break
 			}
 		}
-		for _, b := range w.blockedOn {
-			lm.dropEdge(w.tx, b)
-		}
-		w.blockedOn = nil
 		w.ready <- fmt.Errorf("%w: transaction %d released", ErrLockTimeout, tx)
 		touched[res] = true
 	}
@@ -431,7 +376,6 @@ func (lm *lockManager) ReleaseAll(tx uint64) {
 		}
 	}
 	delete(lm.held, tx)
-	delete(lm.waitsFor, tx)
 	for res := range touched {
 		if st := lm.locks[res]; st != nil {
 			lm.dispatchLocked(st, res)

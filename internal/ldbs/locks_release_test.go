@@ -42,8 +42,8 @@ func lockTableDrained(lm *lockManager) (bool, string) {
 		return false, "lock states remain"
 	case len(lm.held) != 0:
 		return false, "held index remains"
-	case len(lm.waitsFor) != 0:
-		return false, "wait-for edges remain"
+	case len(lm.queued) != 0:
+		return false, "queued index remains"
 	}
 	return true, ""
 }

@@ -190,6 +190,95 @@ func TestCrossResourceDeadlock(t *testing.T) {
 	}
 }
 
+// TestNoFalseDeadlockAfterCancelledWaiter: a waiter queued behind a request
+// that is later cancelled no longer waits for it. tx3 queues S on r1 behind
+// tx2's X request; tx2 cancels, so tx3 waits only for tx1. When tx2, still
+// live, then waits for tx3, the graph is tx2→tx3→tx1: no cycle.
+func TestNoFalseDeadlockAfterCancelledWaiter(t *testing.T) {
+	lm := newLockManager()
+	ctx := context.Background()
+	r1 := resource{Table: "T", Key: "r1"}
+	r2 := resource{Table: "T", Key: "r2"}
+	if err := lm.Acquire(ctx, 1, r1, LockX); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(ctx, 3, r2, LockX); err != nil {
+		t.Fatal(err)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	tx2 := make(chan error, 1)
+	go func() { tx2 <- lm.Acquire(cctx, 2, r1, LockX) }()
+	waitQueuedWaiter(t, lm, r1, 2)
+	tx3 := make(chan error, 1)
+	go func() { tx3 <- lm.Acquire(ctx, 3, r1, LockS) }()
+	waitQueuedWaiter(t, lm, r1, 3)
+	cancel()
+	if err := <-tx2; !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("cancelled wait = %v, want ErrLockTimeout", err)
+	}
+
+	wctx, wcancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer wcancel()
+	if err := lm.Acquire(wctx, 2, r2, LockS); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("tx2 waiting for tx3 = %v, want a plain wait (ErrLockTimeout)", err)
+	}
+	lm.ReleaseAll(1)
+	if err := <-tx3; err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(2)
+	lm.ReleaseAll(3)
+	if ok, why := lockTableDrained(lm); !ok {
+		t.Fatal(why)
+	}
+}
+
+// TestDeadlockThroughEdgeGainedAfterQueueing: a waiter's blockers change
+// while it waits. W queues S on r1 behind P's X request while H holds S;
+// H then upgrades to X and P cancels, so W now waits for H. H asking for
+// r2, which W holds, closes W→H→W.
+func TestDeadlockThroughEdgeGainedAfterQueueing(t *testing.T) {
+	lm := newLockManager()
+	ctx := context.Background()
+	r1 := resource{Table: "T", Key: "r1"}
+	r2 := resource{Table: "T", Key: "r2"}
+	const h, w, p = 1, 2, 3
+	if err := lm.Acquire(ctx, h, r1, LockS); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(ctx, w, r2, LockX); err != nil {
+		t.Fatal(err)
+	}
+	pctx, cancel := context.WithCancel(ctx)
+	pDone := make(chan error, 1)
+	go func() { pDone <- lm.Acquire(pctx, p, r1, LockX) }()
+	waitQueuedWaiter(t, lm, r1, p)
+	wDone := make(chan error, 1)
+	go func() { wDone <- lm.Acquire(ctx, w, r1, LockS) }()
+	waitQueuedWaiter(t, lm, r1, w)
+	if err := lm.Acquire(ctx, h, r1, LockX); err != nil {
+		t.Fatalf("sole-holder upgrade: %v", err)
+	}
+	cancel()
+	if err := <-pDone; !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("cancelled wait = %v, want ErrLockTimeout", err)
+	}
+
+	hctx, hcancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	defer hcancel()
+	if err := lm.Acquire(hctx, h, r2, LockS); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("H waiting for W = %v, want ErrDeadlock", err)
+	}
+	lm.ReleaseAll(h)
+	if err := <-wDone; err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(w)
+	if ok, why := lockTableDrained(lm); !ok {
+		t.Fatal(why)
+	}
+}
+
 func TestContextCancelWhileWaiting(t *testing.T) {
 	lm := newLockManager()
 	res := resource{Table: "T", Key: "k"}

@@ -19,6 +19,7 @@ import (
 	"preserial/internal/clock"
 	"preserial/internal/core"
 	"preserial/internal/sem"
+	"preserial/internal/waitfor"
 )
 
 // TxID identifies a transaction.
@@ -346,35 +347,23 @@ func (s *Scheduler) blockersLocked(o *objState, id TxID, mode Mode) []TxID {
 
 // wouldDeadlockLocked checks whether id waiting on blockers closes a cycle.
 func (s *Scheduler) wouldDeadlockLocked(id TxID, blockers []TxID) bool {
-	edges := make(map[TxID][]TxID)
-	for _, o := range s.objs {
-		for _, w := range o.queue {
-			edges[w.tx] = append(edges[w.tx], s.blockersLocked(o, w.tx, w.mode)...)
+	return waitfor.Closes(id, blockers, s.outEdgesLocked)
+}
+
+// outEdgesLocked returns the transactions id waits for: the blockers of its
+// queue entry on the object it is waiting on.
+func (s *Scheduler) outEdgesLocked(id TxID) []TxID {
+	t := s.txs[id]
+	if t == nil || t.waitingOn == "" {
+		return nil
+	}
+	o := s.objs[t.waitingOn]
+	for _, w := range o.queue {
+		if w.tx == id {
+			return s.blockersLocked(o, id, w.mode)
 		}
 	}
-	seen := make(map[TxID]bool)
-	var reaches func(TxID) bool
-	reaches = func(from TxID) bool {
-		if from == id {
-			return true
-		}
-		if seen[from] {
-			return false
-		}
-		seen[from] = true
-		for _, next := range edges[from] {
-			if reaches(next) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, b := range blockers {
-		if reaches(b) {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // Read returns the transaction's view of the object (own write if present,

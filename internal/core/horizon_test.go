@@ -223,7 +223,7 @@ func TestLazyArrivalListsStayBounded(t *testing.T) {
 }
 
 // TestTerminalRetentionBounded: a caller that never Forgets leaves at most
-// terminalRetention terminal transactions behind, on a heap that stops
+// TerminalRetention terminal transactions behind, on a heap that stops
 // growing; a retired id answers exactly as a forgotten one.
 func TestTerminalRetentionBounded(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -237,7 +237,7 @@ func TestTerminalRetentionBounded(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	const n = terminalRetention
+	const n = TerminalRetention
 	h1 := heapAfter(0, n)
 	h2 := heapAfter(n, 2*n)
 	h3 := heapAfter(2*n, 3*n)

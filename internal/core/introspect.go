@@ -73,7 +73,7 @@ func (m *Manager) ObjectInfo(id ObjectID) (ObjectInfo, error) {
 
 // Transactions returns a snapshot of every registered transaction, sorted
 // by id (operator/diagnostic surface; terminal transactions remain until
-// Forget or until terminalRetention newer ones have finished).
+// Forget or until TerminalRetention newer ones have finished).
 func (m *Manager) Transactions() []TxInfo {
 	defer m.mon.enter(m)()
 	out := make([]TxInfo, 0, len(m.txs))

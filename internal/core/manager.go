@@ -46,7 +46,7 @@ type Manager struct {
 	objs objIndex
 
 	// terminal holds the retained terminal transactions in the order they
-	// finished; the registry keeps at most terminalRetention of them (see
+	// finished; the registry keeps at most TerminalRetention of them (see
 	// retireLocked). retained counts those still registered — a Forget
 	// leaves its queue entry behind to rotate out.
 	terminal fifo[*transaction]
@@ -69,11 +69,12 @@ type Manager struct {
 	commitSeq uint64           // global commit sequence (see commitRecord.seq)
 }
 
-// terminalRetention bounds the registry: the most recent terminalRetention
+// TerminalRetention bounds the registry: the most recent TerminalRetention
 // terminal transactions stay answerable (TxState, TxInfo, duplicate-id
 // detection); older ones are retired first-in first-out exactly as if the
-// caller had Forgotten them.
-const terminalRetention = 1 << 14
+// caller had Forgotten them. The wire engine drops the sessions of the
+// transactions it finished by the same count.
+const TerminalRetention = 1 << 14
 
 // historyChunk is the WithHistory log's chunk size: the log grows by whole
 // chunks, so a long run never re-copies what it already recorded.
@@ -730,13 +731,13 @@ func (m *Manager) recordHistoryLocked(e HistoryEntry) {
 
 // retireLocked is the terminal transition's bookkeeping: the record is
 // stripped to what TxState/TxInfo answer from, joins the retention queue,
-// and the oldest retained transactions beyond terminalRetention leave the
+// and the oldest retained transactions beyond TerminalRetention leave the
 // registry.
 func (m *Manager) retireLocked(t *transaction) {
 	t.txLive = nil
 	m.terminal.push(t)
 	m.retained++
-	for m.terminal.len() > terminalRetention {
+	for m.terminal.len() > TerminalRetention {
 		old := m.terminal.front()
 		m.terminal.pop()
 		// A Forgotten transaction's entry is stale, and its id may since
@@ -1201,7 +1202,7 @@ func (m *Manager) History() []HistoryEntry {
 
 // Forget removes a terminal transaction from the registry so its id can be
 // reused and memory reclaimed at once. It is optional: the registry retires
-// terminal transactions on its own once more than terminalRetention (16 384)
+// terminal transactions on its own once more than TerminalRetention (16 384)
 // newer ones have finished, after which their ids answer ErrUnknownTx just
 // as after Forget.
 func (m *Manager) Forget(txID TxID) error {

@@ -9,7 +9,7 @@ import (
 
 // transaction is the Manager's per-transaction record. The fields here are
 // what survives the terminal transition — enough to answer TxState, TxInfo
-// and Age until the record is forgotten or retired (see terminalRetention).
+// and Age until the record is forgotten or retired (see TerminalRetention).
 // Everything a transaction needs only while it lives sits behind txLive and
 // is dropped the moment it commits or aborts.
 type transaction struct {

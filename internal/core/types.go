@@ -21,7 +21,7 @@
 // What the Manager retains is bounded by what is in use. An idle object
 // costs a few hundred bytes; a transaction shrinks to its id, outcome and
 // object list when it turns terminal, and the registry keeps only the most
-// recent 16 384 terminal transactions (terminalRetention) — older ones are
+// recent 16 384 terminal transactions (TerminalRetention) — older ones are
 // retired first-in first-out and then answer ErrUnknownTx, exactly as after
 // Forget, which remains for callers that want an id back at once. Per-object
 // commit histories and version chains are pruned behind the GC horizon (the

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -61,9 +62,10 @@ func (m *MuxConn) Close() error {
 // readLoop routes response frames to their waiting callers.
 func (m *MuxConn) readLoop() {
 	defer close(m.readDone)
+	br := bufio.NewReader(m.c)
 	for {
 		var resp wire.Response
-		if err := wire.ReadMsg(m.c, &resp); err != nil {
+		if err := wire.ReadMsg(br, &resp); err != nil {
 			m.fail(err)
 			return
 		}

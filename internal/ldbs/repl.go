@@ -28,8 +28,8 @@
 package ldbs
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"preserial/internal/frame"
 	"preserial/internal/ldbs/store"
 	"preserial/internal/obs"
 )
@@ -54,9 +55,8 @@ const (
 	replFence  = "fence"  // either side: epoch refused; Err says why
 )
 
-// replMsg is one length-prefixed JSON message on a replication conn. The
-// codec is deliberately self-contained: ldbs sits below the wire package
-// and cannot import it.
+// replMsg is one length-prefixed JSON message on a replication conn, framed
+// as the wire protocol's frames are (internal/frame).
 type replMsg struct {
 	Kind     string `json:"kind"`
 	StreamID uint64 `json:"stream_id,omitempty"`
@@ -69,31 +69,20 @@ type replMsg struct {
 // maxReplMsg bounds one message (snapshots ride in a single message).
 const maxReplMsg = 256 << 20
 
+// writeReplMsg sends m as one frame in one Write.
 func writeReplMsg(w io.Writer, m *replMsg) error {
 	body, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+	return frame.Write(w, body)
 }
 
+// readReplMsg reads one frame into m. Each connection end reads through its
+// one *bufio.Reader.
 func readReplMsg(r io.Reader, m *replMsg) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxReplMsg {
-		return fmt.Errorf("ldbs: repl message of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := frame.Read(r, maxReplMsg)
+	if err != nil {
 		return err
 	}
 	*m = replMsg{}
@@ -643,8 +632,9 @@ func (s *ReplSource) Serve(conn io.ReadWriteCloser) error {
 	defer s.untrack(conn)
 	defer conn.Close()
 
+	br := bufio.NewReader(conn) // the handshake's, then the ack reader's
 	var hello replMsg
-	if err := readReplMsg(conn, &hello); err != nil {
+	if err := readReplMsg(br, &hello); err != nil {
 		return fmt.Errorf("ldbs: repl handshake: %w", err)
 	}
 	if hello.Kind != replHello {
@@ -694,7 +684,7 @@ func (s *ReplSource) Serve(conn io.ReadWriteCloser) error {
 		defer s.hub.closeCursor(rc)
 		for {
 			var m replMsg
-			if err := readReplMsg(conn, &m); err != nil {
+			if err := readReplMsg(br, &m); err != nil {
 				return
 			}
 			if m.Kind == replAck {
@@ -890,8 +880,9 @@ func (r *Replica) serveConn(conn io.ReadWriteCloser, stop <-chan struct{}) error
 	if err := writeReplMsg(conn, &hello); err != nil {
 		return err
 	}
+	br := bufio.NewReader(conn)
 	var m replMsg
-	if err := readReplMsg(conn, &m); err != nil {
+	if err := readReplMsg(br, &m); err != nil {
 		return err
 	}
 	switch m.Kind {
@@ -917,7 +908,7 @@ func (r *Replica) serveConn(conn io.ReadWriteCloser, stop <-chan struct{}) error
 	}
 
 	for {
-		if err := readReplMsg(conn, &m); err != nil {
+		if err := readReplMsg(br, &m); err != nil {
 			return err
 		}
 		switch m.Kind {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -113,11 +114,12 @@ func readPending(path string) ([]Decision, error) {
 		return nil, err
 	}
 	defer f.Close()
+	br := bufio.NewReader(f)
 	byTx := make(map[string]int) // tx → index into order; -1 = settled
 	var order []Decision
 	for {
 		var rec logRecord
-		if err := wire.ReadMsg(f, &rec); err != nil {
+		if err := wire.ReadMsg(br, &rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -144,7 +146,7 @@ func readPending(path string) ([]Decision, error) {
 	return pending, nil
 }
 
-// append writes one record, fsyncing it when force is set.
+// append writes one record in one write(2), fsyncing it when force is set.
 func (l *CoordLog) append(rec *logRecord, force bool) error {
 	if l == nil {
 		return nil // volatile cluster: decisions are not logged

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -71,6 +72,41 @@ func BenchmarkServerBookingRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := cn.Commit(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// readStub is a backend that answers one-shot snapshot reads and nothing
+// else: a round trip over it costs the transport and the engine alone.
+type readStub struct{ Backend }
+
+func (readStub) BeginSnapshot(string) (Session, error) {
+	return nil, errors.New("readStub: no snapshot transactions")
+}
+
+func (readStub) SnapshotRead(string, string) (Value, error) { return FromSem(sem.Int(1)), nil }
+
+// BenchmarkConnRoundTrip measures one one-shot snapshot read from a Conn
+// to a Server over loopback TCP.
+func BenchmarkConnRoundTrip(b *testing.B) {
+	srv := NewBackendServer(readStub{}, ServerOptions{})
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve("127.0.0.1:0") }()
+	select {
+	case <-srv.Ready():
+	case err := <-errc:
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cn, err := Dial(srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cn.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cn.SnapshotRead("Flight/AZ0", ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -46,6 +47,7 @@ type Calls func(*Request) (*Response, error)
 type Conn struct {
 	Calls
 	c       net.Conn
+	r       *bufio.Reader // every response frame is read through it
 	timeout time.Duration
 	broken  bool
 }
@@ -63,7 +65,7 @@ func DialTimeout(addr string, dialTimeout, callTimeout time.Duration) (*Conn, er
 	if err != nil {
 		return nil, err
 	}
-	cn := &Conn{c: c, timeout: callTimeout}
+	cn := &Conn{c: c, r: bufio.NewReader(c), timeout: callTimeout}
 	cn.Calls = cn.call
 	return cn, nil
 }
@@ -90,7 +92,7 @@ func (cn *Conn) call(req *Request) (*Response, error) {
 		return nil, classify(err)
 	}
 	var resp Response
-	if err := ReadMsg(cn.c, &resp); err != nil {
+	if err := ReadMsg(cn.r, &resp); err != nil {
 		cn.broken = true
 		return nil, classify(err)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -99,11 +100,38 @@ type Engine struct {
 	baseStop context.CancelFunc
 
 	mu        sync.Mutex
-	clients   map[string]Session
+	clients   map[string]registered
 	owners    map[string]any // key of the latest Owner driving each tx
 	dedups    map[string]*dedupWindow
+	terminal  []retired        // finished transactions still holding a session, oldest first
+	replies   map[string]reply // finished transactions past the count, until the age sweep
+	begun     uint64           // registrations so far; numbers each one
 	stopSweep chan struct{}
 	stopped   bool
+}
+
+// registered is a transaction's session, numbered so that a terminal entry
+// can tell its registration from a later one reusing the id.
+type registered struct {
+	Session
+	n uint64
+}
+
+// retired is one terminal entry: the transaction id, the registration that
+// finished, and the reply to keep once the session is dropped.
+type retired struct {
+	tx string
+	n  uint64
+	reply
+}
+
+// reply is a finished transaction's terminal reply and the sequence number
+// it answered, JSON-encoded: tens of bytes where the session, ownership and
+// dedup window it outlives take most of a kilobyte.
+type reply struct {
+	seq  uint64 // 0: the terminal op was not sequenced, nothing to replay
+	json string
+	at   time.Time // when the transaction finished
 }
 
 // NewEngine builds an Engine over a Backend.
@@ -124,9 +152,10 @@ func NewEngine(b Backend, opts EngineOptions) *Engine {
 		retention:     retention,
 		baseCtx:       baseCtx,
 		baseStop:      baseStop,
-		clients:       make(map[string]Session),
+		clients:       make(map[string]registered),
 		owners:        make(map[string]any),
 		dedups:        make(map[string]*dedupWindow),
+		replies:       make(map[string]reply),
 	}
 	if opts.Obs != nil {
 		e.obs = opts.Obs
@@ -192,7 +221,7 @@ func (e *Engine) Sweep(olderThan time.Duration) []string {
 	// Read-only snapshot sessions never reach the backend's registry, so
 	// the backend cannot sweep them: drop the closed ones here.
 	for id, c := range e.clients {
-		if done, ok := c.(interface{ Done() bool }); ok && done.Done() {
+		if done, ok := c.Session.(interface{ Done() bool }); ok && done.Done() {
 			removed = append(removed, id)
 		}
 	}
@@ -200,6 +229,15 @@ func (e *Engine) Sweep(olderThan time.Duration) []string {
 		delete(e.clients, id)
 		delete(e.owners, id)
 		delete(e.dedups, id)
+	}
+	// The backend has retired the transactions whose replies are kept (see
+	// finish), so they go by their own age.
+	cut := time.Now().Add(-olderThan)
+	for id, r := range e.replies {
+		if r.at.Before(cut) {
+			removed = append(removed, id)
+			delete(e.replies, id)
+		}
 	}
 	e.mu.Unlock()
 	if len(removed) > 0 {
@@ -269,14 +307,25 @@ func (e *Engine) Drain(timeout time.Duration) DrainReport {
 func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 	if req.Seq == 0 || req.Tx == "" || !req.Op.Mutating() {
 		resp := e.dispatch(req, owner)
-		if resp.OK && terminalOp(req.Op) {
-			owner.Forget(req.Tx)
+		if terminal(req, resp) {
+			e.finish(req, resp, owner)
 		}
 		return resp
 	}
 	e.mu.Lock()
 	w := e.dedups[req.Tx]
 	if w == nil {
+		r, kept := e.replies[req.Tx]
+		if kept && r.seq == req.Seq {
+			e.mu.Unlock()
+			return e.replay(r)
+		}
+		if _, known := e.clients[req.Tx]; !known && (kept || req.Op != OpBegin) {
+			// Nothing to deduplicate: dispatch refuses the request, and a
+			// window here would never be freed.
+			e.mu.Unlock()
+			return e.dispatch(req, owner)
+		}
 		w = newDedupWindow(DefaultDedupWindow)
 		e.dedups[req.Tx] = w
 	}
@@ -292,15 +341,18 @@ func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 		// send another mutating request, so every earlier entry's response
 		// is dead weight: collapse the window to the terminal entry alone.
 		// (Keeping that one entry is what lets a reconnecting client replay
-		// the commit/abort/decide it never got an answer for; the full
-		// window is released at Sweep.)
-		if resp.OK && terminalOp(req.Op) {
+		// the terminal op it never got an answer for; see finish.)
+		switch {
+		case terminal(req, resp):
 			w.collapse(req.Seq)
-			// The owner no longer needs to track the finished transaction:
-			// it cannot sleep on disconnect and needs no re-adoption. For a
-			// parked gateway session this is what keeps the per-client byte
-			// cost flat no matter how many transactions it has run.
-			owner.Forget(req.Tx)
+			e.finish(req, resp, owner)
+		case req.Op == OpBegin && !resp.OK:
+			// Nothing began, so no sweep would ever free the window.
+			e.mu.Lock()
+			if _, known := e.clients[req.Tx]; !known && e.dedups[req.Tx] == w {
+				delete(e.dedups, req.Tx)
+			}
+			e.mu.Unlock()
 		}
 		return resp
 	}
@@ -323,10 +375,79 @@ func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 	return &replay
 }
 
-// terminalOp reports whether a successful request of this kind ends the
-// transaction: its dedup window can collapse to the single terminal entry.
-func terminalOp(op Op) bool {
-	return op == OpCommit || op == OpAbort || op == OpDecide
+// terminal reports whether resp leaves the transaction terminal: a
+// successful commit, abort or decide, or an awake that found the sleeper
+// invalidated. Its dedup window can collapse to the single terminal entry.
+func terminal(req *Request, resp *Response) bool {
+	switch {
+	case !resp.OK:
+		return false
+	case req.Op == OpCommit, req.Op == OpAbort, req.Op == OpDecide:
+		return true
+	default:
+		return req.Op == OpAwake && !resp.Resumed
+	}
+}
+
+// finish records that req left its transaction terminal with resp. The
+// owner stops tracking it: a finished transaction cannot sleep on
+// disconnect and needs no re-adoption, which keeps a parked gateway
+// session's byte cost flat no matter how many transactions it has run.
+//
+// The engine holds the sessions of the newest core.TerminalRetention
+// finished transactions and drops the oldest one beyond that, with its
+// ownership and dedup window, so memory stays flat however fast
+// transactions finish. This FIFO counts what the engine finishes,
+// read-only snapshot sessions included: it is sized like core's retention
+// queue but is not the same set. What outlives the drop is the terminal
+// reply, the one thing a client that lost it needs: its retry is still
+// replayed, attach still succeeds, and begin refuses the id, until the
+// age sweep after Retention.
+func (e *Engine) finish(req *Request, resp *Response, owner *Owner) {
+	owner.Forget(req.Tx)
+	r := reply{seq: req.Seq, at: time.Now()}
+	if r.seq != 0 {
+		b, _ := json.Marshal(resp) // encodes as the front end sends it
+		r.json = string(b)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.terminal = append(e.terminal, retired{req.Tx, e.clients[req.Tx].n, r})
+	for len(e.terminal) > core.TerminalRetention {
+		old := e.terminal[0]
+		e.terminal = e.terminal[1:]
+		// An id swept by age, or begun again since, is not this entry's.
+		if c, ok := e.clients[old.tx]; ok && c.n == old.n {
+			delete(e.clients, old.tx)
+			delete(e.owners, old.tx)
+			delete(e.dedups, old.tx)
+			if old.seq != 0 {
+				e.replies[old.tx] = old.reply
+			}
+		}
+	}
+}
+
+// replay answers a retry from a kept terminal reply.
+func (e *Engine) replay(r reply) *Response {
+	var resp Response
+	if err := json.Unmarshal([]byte(r.json), &resp); err != nil {
+		return &Response{Err: fmt.Sprintf("wire: kept reply unreadable: %v", err)}
+	}
+	if e.replays != nil {
+		e.replays.Inc()
+	}
+	resp.Replayed = true
+	return &resp
+}
+
+// settled reports whether tx finished and its session was dropped while
+// its terminal reply is still kept.
+func (e *Engine) settled(tx string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.replies[tx]
+	return ok
 }
 
 // Adopt registers owner as the latest driver of tx.
@@ -361,7 +482,7 @@ func (e *Engine) DisconnectOwner(owner *Owner) {
 			// version GC back indefinitely — close it; a reconnecting
 			// client re-begins at a fresh pin.
 			e.mu.Lock()
-			c := e.clients[id]
+			c := e.clients[id].Session
 			e.mu.Unlock()
 			if ro, ok := c.(ReadOnlySession); ok && ro.ReadOnly() {
 				_ = c.Abort()
@@ -385,7 +506,7 @@ func (e *Engine) client(tx string) (Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown transaction %q (begin or attach first)", tx)
 	}
-	return c, nil
+	return c.Session, nil
 }
 
 // Knows reports whether the engine has a session registered for tx.
@@ -407,6 +528,9 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		if req.Tx == "" {
 			return fail(errors.New("wire: begin needs a tx id"))
 		}
+		if e.settled(req.Tx) {
+			return fail(fmt.Errorf("wire: transaction %q already exists (finished; its reply is kept for replay)", req.Tx))
+		}
 		var c Session
 		var err error
 		if req.ReadOnly {
@@ -425,12 +549,18 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 			return fail(err)
 		}
 		e.mu.Lock()
-		e.clients[req.Tx] = c
+		e.begun++
+		e.clients[req.Tx] = registered{c, e.begun}
 		e.mu.Unlock()
 		e.Adopt(req.Tx, owner)
 		return &Response{OK: true}
 
 	case OpAttach:
+		if e.settled(req.Tx) {
+			// Finished: nothing left to drive, but a retry of its
+			// terminal op still gets the recorded reply.
+			return &Response{OK: true}
+		}
 		if !e.Knows(req.Tx) {
 			return fail(fmt.Errorf("wire: no transaction %q to attach", req.Tx))
 		}

@@ -1,11 +1,17 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
-// FuzzReadMsg checks that arbitrary bytes never panic the frame reader.
+// FuzzReadMsg checks that arbitrary bytes never panic the frame reader, and
+// that a buffered reader that sees the stream one byte or half a read at a
+// time decodes the same Request as a plain reader, or fails where it fails.
 func FuzzReadMsg(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteMsg(&buf, &Request{Op: OpInvoke, Tx: "t", Object: "X", Class: "add/sub"}); err != nil {
@@ -18,9 +24,22 @@ func FuzzReadMsg(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		_ = ReadMsg(bytes.NewReader(data), &req) // must never panic
+		reqErr := ReadMsg(bytes.NewReader(data), &req) // must never panic
 		var resp Response
 		_ = ReadMsg(bytes.NewReader(data), &resp)
+		for name, r := range map[string]io.Reader{
+			"onebyte": bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data))),
+			"half":    bufio.NewReader(iotest.HalfReader(bytes.NewReader(data))),
+		} {
+			var got Request
+			err := ReadMsg(r, &got)
+			if (err == nil) != (reqErr == nil) {
+				t.Fatalf("%s: err %v, plain reader err %v", name, err, reqErr)
+			}
+			if err == nil && !reflect.DeepEqual(got, req) {
+				t.Fatalf("%s: decoded %+v, plain reader %+v", name, got, req)
+			}
+		}
 	})
 }
 

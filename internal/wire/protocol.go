@@ -7,7 +7,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"preserial/internal/frame"
 	"preserial/internal/sem"
 )
 
@@ -370,7 +370,7 @@ func AsError(resp *Response) error {
 	return errors.New(resp.Err)
 }
 
-// WriteMsg frames v as [u32 length][JSON].
+// WriteMsg frames v as [u32 length][JSON] and sends the frame in one Write.
 func WriteMsg(w io.Writer, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -379,27 +379,15 @@ func WriteMsg(w io.Writer, v any) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
+	return frame.Write(w, payload)
 }
 
-// ReadMsg reads one frame into v.
+// ReadMsg reads one frame into v. Give it the connection's one
+// *bufio.Reader where there is one, so the frames a peer pipelines cost one
+// read.
 func ReadMsg(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := frame.Read(r, MaxFrame)
+	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(payload, v); err != nil {

@@ -267,7 +267,8 @@ func (rc *ResilientConn) doom(tx string, err error) {
 // the op mutates, then attempt/reconnect/retry until a response arrives, an
 // application error is returned, or the attempt budget is spent. A
 // successful begin or attach adds the transaction to the owned set that a
-// reconnect re-attaches; a successful commit, abort or decide removes it.
+// reconnect re-attaches; a successful commit, abort or decide, or an awake
+// that finds the sleeper invalidated, removes it.
 // A commit whose response was lost to a disconnection is recovered by
 // retrying under the same sequence number: the server replays the recorded
 // outcome instead of committing twice.
@@ -308,7 +309,7 @@ func (rc *ResilientConn) call(req *Request) (*Response, error) {
 			switch {
 			case req.Op == OpBegin, req.Op == OpAttach:
 				rc.owned[req.Tx] = true
-			case terminalOp(req.Op):
+			case terminal(req, resp):
 				delete(rc.owned, req.Tx) // nothing left to re-attach
 			}
 			return resp, nil

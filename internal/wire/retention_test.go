@@ -1,0 +1,192 @@
+package wire
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"preserial/internal/core"
+	"preserial/internal/sem"
+)
+
+// TestEngineForgetsTerminalByCount: the engine holds the sessions of at
+// most core.TerminalRetention terminal transactions, however recent, so
+// its memory does not grow with the rate transactions finish. A sleeper
+// that an awake finds invalidated counts as finished too. Of an older one
+// it keeps only the terminal reply, until the age sweep.
+func TestEngineForgetsTerminalByCount(t *testing.T) {
+	store := core.NewMemStore()
+	m := core.NewManager(store)
+	t.Cleanup(m.Close)
+	for _, k := range []string{"X", "Y"} {
+		ref := core.StoreRef{Table: "T", Key: k, Column: "v"}
+		store.Seed(ref, sem.Int(1_000_000_000))
+		if err := m.RegisterAtomicObject(core.ObjectID(k), ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(NewManagerBackend(m), EngineOptions{})
+	defer e.Stop()
+	owner := NewOwner("test")
+	seqs := map[string]uint64{}
+	serve := func(req *Request) *Response {
+		t.Helper()
+		seqs[req.Tx]++
+		req.Seq = seqs[req.Tx]
+		resp := e.Serve(req, owner)
+		if !resp.OK {
+			t.Fatalf("%s %s: %s", req.Op, req.Tx, resp.Err)
+		}
+		return resp
+	}
+	minusOne := FromSem(sem.Int(-1))
+	book := func(tx, obj string, class sem.Class) {
+		serve(&Request{Op: OpBegin, Tx: tx})
+		serve(&Request{Op: OpInvoke, Tx: tx, Object: obj, Class: ClassName(class)})
+		serve(&Request{Op: OpApply, Tx: tx, Object: obj, Operand: &minusOne})
+		serve(&Request{Op: OpCommit, Tx: tx})
+	}
+	const bookings, awakeAborts = 20_000, 2_000
+	for i := 0; i < bookings; i++ {
+		book(fmt.Sprintf("b%d", i), "X", sem.AddSub)
+	}
+	for i := 0; i < awakeAborts; i++ {
+		s := fmt.Sprintf("s%d", i)
+		serve(&Request{Op: OpBegin, Tx: s})
+		serve(&Request{Op: OpInvoke, Tx: s, Object: "Y", Class: ClassName(sem.AddSub)})
+		serve(&Request{Op: OpSleep, Tx: s})
+		book(fmt.Sprintf("w%d", i), "Y", sem.Assign) // incompatible with the sleeper's add/sub
+		if resp := serve(&Request{Op: OpAwake, Tx: s}); resp.Resumed {
+			t.Fatalf("%s resumed past an incompatible commit", s)
+		}
+	}
+
+	e.mu.Lock()
+	clients, owners, dedups, replies := len(e.clients), len(e.owners), len(e.dedups), len(e.replies)
+	e.mu.Unlock()
+	if clients > core.TerminalRetention || owners > core.TerminalRetention || dedups > core.TerminalRetention {
+		t.Fatalf("after %d terminal transactions the engine holds %d clients, %d owners, %d dedup windows; bound %d",
+			bookings+2*awakeAborts, clients, owners, dedups, core.TerminalRetention)
+	}
+	if want := bookings + 2*awakeAborts - core.TerminalRetention; replies != want {
+		t.Fatalf("%d terminal replies kept past the bound, want %d until the age sweep", replies, want)
+	}
+	if len(owner.Owned()) != 0 {
+		t.Fatalf("owner still tracks %d finished transactions", len(owner.Owned()))
+	}
+	if !e.Knows(fmt.Sprintf("s%d", awakeAborts-1)) {
+		t.Error("the newest terminal transaction was forgotten")
+	}
+	if e.Knows("b0") {
+		t.Error("the oldest terminal transaction is still held")
+	}
+
+	e.Sweep(0)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.clients)+len(e.owners)+len(e.dedups)+len(e.replies) != 0 {
+		t.Fatalf("after Sweep(0): %d clients, %d owners, %d windows, %d replies",
+			len(e.clients), len(e.owners), len(e.dedups), len(e.replies))
+	}
+}
+
+// TestReplayedCommitAfterCountEviction: a commit whose reply was lost is
+// still replayed once more than core.TerminalRetention other transactions
+// have finished, core has retired the id and the engine has dropped its
+// session. The client reconnects the way ResilientConn does: attach, state,
+// then the commit again under its sequence number.
+func TestReplayedCommitAfterCountEviction(t *testing.T) {
+	srv, addr := newTestServer(t)
+	cn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCall := func(c *Conn, req *Request) *Response {
+		t.Helper()
+		resp, err := c.call(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", req.Op, req.Tx, err)
+		}
+		return resp
+	}
+	const tx = "lost-ack"
+	wv := FromSem(sem.Int(-1))
+	mustCall(cn, &Request{Op: OpBegin, Tx: tx, Seq: 1})
+	mustCall(cn, &Request{Op: OpInvoke, Tx: tx, Object: "flight", Class: ClassName(sem.AddSub), Seq: 2})
+	mustCall(cn, &Request{Op: OpApply, Tx: tx, Object: "flight", Operand: &wv, Seq: 3})
+	mustCall(cn, &Request{Op: OpCommit, Tx: tx, Seq: 4})
+	cn.Close() // the ack is lost with the link
+
+	e := srv.Engine()
+	filler := NewOwner("filler")
+	for i := 0; i <= core.TerminalRetention; i++ {
+		f := fmt.Sprintf("f%d", i)
+		for seq, op := range []Op{OpBegin, OpCommit} {
+			if resp := e.Serve(&Request{Op: op, Tx: f, Seq: uint64(seq + 1)}, filler); !resp.OK {
+				t.Fatalf("%s %s: %s", op, f, resp.Err)
+			}
+		}
+	}
+	if e.Knows(tx) {
+		t.Fatal("the engine still holds the session; the test evicts nothing")
+	}
+
+	cn2, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn2.Close()
+	mustCall(cn2, &Request{Op: OpAttach, Tx: tx})
+	if _, err := cn2.State(tx); err == nil || !strings.Contains(err.Error(), "unknown transaction") {
+		t.Fatalf("state after core retired the id: %v, want unknown transaction", err)
+	}
+	if again := mustCall(cn2, &Request{Op: OpCommit, Tx: tx, Seq: 4}); !again.Replayed {
+		t.Fatal("the retried commit executed again instead of being replayed")
+	}
+	if _, err := cn2.call(&Request{Op: OpBegin, Tx: tx, Seq: 1}); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("begin on an id whose reply is kept: %v, want already exists", err)
+	}
+	v, err := cn2.SnapshotRead("flight", "")
+	if err != nil || v.Int64() != 49 {
+		t.Fatalf("flight = %s (%v), want 49: the booking applied once", v, err)
+	}
+
+	// The age sweep frees the reply; the id is then unknown, as a
+	// ResilientConn reports with ErrTxLost.
+	e.Sweep(0)
+	if _, err := cn2.call(&Request{Op: OpAttach, Tx: tx}); err == nil || !strings.Contains(err.Error(), "no transaction") {
+		t.Fatalf("attach after the sweep: %v", err)
+	}
+}
+
+// TestUnknownTxLeavesNoWindow: a sequenced request that names a
+// transaction the engine does not know gets "unknown transaction", and a
+// sequenced begin that fails is refused; neither leaves a dedup window
+// that no sweep would free.
+func TestUnknownTxLeavesNoWindow(t *testing.T) {
+	m := core.NewManager(core.NewMemStore())
+	t.Cleanup(m.Close)
+	e := NewEngine(NewManagerBackend(m), EngineOptions{})
+	defer e.Stop()
+	owner := NewOwner("test")
+	for i := 0; i < 100; i++ {
+		resp := e.Serve(&Request{Op: OpCommit, Tx: fmt.Sprintf("ghost%d", i), Seq: 1}, owner)
+		if resp.OK || !strings.Contains(resp.Err, "unknown transaction") {
+			t.Fatalf("commit of an unknown id: %+v", resp)
+		}
+	}
+	// A begin the GTM refuses leaves none either: the id is taken in core.
+	if err := m.Begin("taken"); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 100; seq++ {
+		if resp := e.Serve(&Request{Op: OpBegin, Tx: "taken", Seq: seq}, owner); resp.OK {
+			t.Fatal("a begin of an id core holds succeeded")
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.dedups); n != 0 {
+		t.Fatalf("%d dedup windows left for unknown ids and refused begins", n)
+	}
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"log"
@@ -57,8 +58,9 @@ type ServerConn struct {
 
 	s     *Server
 	nc    net.Conn
-	owner *Owner     // drives the frames served inline
-	wmu   sync.Mutex // serializes response frames: a layer answers out of order
+	r     *bufio.Reader // every request frame is read through it
+	owner *Owner        // drives the frames served inline
+	wmu   sync.Mutex    // serializes response frames: a layer answers out of order
 }
 
 // ServerOptions configures Serve.
@@ -149,7 +151,7 @@ func (s *Server) Serve(addr string) error {
 			}
 			return err
 		}
-		c := &ServerConn{s: s, nc: conn, owner: NewOwner(conn)}
+		c := &ServerConn{s: s, nc: conn, r: bufio.NewReader(conn), owner: NewOwner(conn)}
 		s.mu.Lock()
 		s.conns[c] = true
 		s.mu.Unlock()
@@ -251,7 +253,7 @@ func (s *Server) handle(c *ServerConn) {
 
 	for {
 		req := &Request{} // fresh per frame: a session layer may queue it
-		if err := ReadMsg(c.nc, req); err != nil {
+		if err := ReadMsg(c.r, req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.log.Printf("wire: read from %s: %v", c.nc.RemoteAddr(), err)
 			}

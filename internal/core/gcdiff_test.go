@@ -143,8 +143,8 @@ func retainedState(m *Manager, objs []ObjectID, lastH uint64) (committed, chains
 		}
 	}
 	horizon := min(m.commitSeq, m.oldestSleepSeqLocked(), m.oldestSnapshotPinLocked())
-	for i := 0; i < m.gcq.len(); i++ {
-		if m.gcq.at(i).seq <= lastH {
+	for i := 0; i < m.gcq.Len(); i++ {
+		if m.gcq.At(i).seq <= lastH {
 			due++
 		}
 	}

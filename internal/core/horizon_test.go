@@ -211,10 +211,10 @@ func TestLazyArrivalListsStayBounded(t *testing.T) {
 		}
 	}
 	defer m.mon.enter(m)()
-	if n := m.sleepQ.len(); n > 2+2*lazySweepSlack {
+	if n := m.sleepQ.Len(); n > 2+2*lazySweepSlack {
 		t.Fatalf("sleeper queue holds %d entries for 1 sleeper", n)
 	}
-	if n := m.mvcc.snapQ.len(); n > 2+2*lazySweepSlack {
+	if n := m.mvcc.snapQ.Len(); n > 2+2*lazySweepSlack {
 		t.Fatalf("snapshot queue holds %d entries for 1 open snapshot", n)
 	}
 	if got := m.oldestSleepSeqLocked(); got != 0 {
@@ -358,49 +358,6 @@ func TestHistoryRetentionBounded(t *testing.T) {
 	t.Logf("heap after %d / %d / %d commits: %d / %d / %d KiB", n, 2*n, 3*n, h1>>10, h2>>10, h3>>10)
 	if h3 > h2+4<<20 {
 		t.Fatalf("heap grew from %d to %d bytes over %d commits at the retention bound", h2, h3, n)
-	}
-}
-
-func TestFifo(t *testing.T) {
-	var q fifo[int]
-	next, want := 0, 0
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 3*round+1; i++ {
-			q.push(next)
-			next++
-		}
-		for i := 0; i < 2*round+1 && q.len() > 0; i++ {
-			if got := q.front(); got != want {
-				t.Fatalf("front = %d, want %d", got, want)
-			}
-			q.pop()
-			want++
-		}
-	}
-	q.filter(func(v int) bool { return v%2 == 0 })
-	for q.len() > 0 {
-		if want%2 != 0 {
-			want++
-		}
-		if got := q.front(); got != want {
-			t.Fatalf("after filter front = %d, want %d", got, want)
-		}
-		q.pop()
-		want++
-	}
-	if want < next-1 {
-		t.Fatalf("queue ran dry at %d of %d", want, next)
-	}
-
-	// A burst's buffer is released once the queue empties.
-	for i := 0; i < 4*fifoKeep; i++ {
-		q.push(i)
-	}
-	for q.len() > 0 {
-		q.pop()
-	}
-	if q.buf != nil {
-		t.Fatalf("an emptied queue kept a buffer of %d", len(q.buf))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"preserial/internal/clock"
+	"preserial/internal/fifo"
 	"preserial/internal/sem"
 	"preserial/internal/waitfor"
 )
@@ -49,7 +50,7 @@ type Manager struct {
 	// finished; the registry keeps at most TerminalRetention of them (see
 	// retireLocked). retained counts those still registered — a Forget
 	// leaves its queue entry behind to rotate out.
-	terminal fifo[*transaction]
+	terminal fifo.Queue[*transaction]
 	retained int
 
 	// sleepQ lists sleepers in the order they went to sleep. A_tsleep's
@@ -57,12 +58,12 @@ type Manager struct {
 	// the only one the GC horizon needs — is the first entry that is still
 	// current; stale entries (awakened, aborted, slept again) are dropped
 	// when they reach the front. sleeping counts the live ones.
-	sleepQ   fifo[sleepEntry]
+	sleepQ   fifo.Queue[sleepEntry]
 	sleeping int
 
 	// gcq is the horizon queue: one entry per committed per-object
 	// operation, in commit-sequence order (see pruneHistoriesLocked).
-	gcq fifo[gcEntry]
+	gcq fifo.Queue[gcEntry]
 
 	stats     Stats
 	history   [][]HistoryEntry // chunks of historyChunk entries; only the last is short
@@ -685,7 +686,7 @@ func (m *Manager) publishLocked(t *transaction, locals []localWrite) {
 		}
 		o.committed = append(o.committed, commitRecord{tx: t.id, op: lw.op, seq: m.commitSeq})
 		if !m.opts.keepFullHistory {
-			m.gcq.push(gcEntry{o: o, mb: lw.mb, seq: m.commitSeq})
+			m.gcq.Push(gcEntry{o: o, mb: lw.mb, seq: m.commitSeq})
 		}
 		if m.opts.recordHistory {
 			m.recordHistoryLocked(HistoryEntry{
@@ -735,11 +736,11 @@ func (m *Manager) recordHistoryLocked(e HistoryEntry) {
 // registry.
 func (m *Manager) retireLocked(t *transaction) {
 	t.txLive = nil
-	m.terminal.push(t)
+	m.terminal.Push(t)
 	m.retained++
-	for m.terminal.len() > TerminalRetention {
-		old := m.terminal.front()
-		m.terminal.pop()
+	for m.terminal.Len() > TerminalRetention {
+		old := m.terminal.Front()
+		m.terminal.Pop()
 		// A Forgotten transaction's entry is stale, and its id may since
 		// have been reused: only the record still registered is retired.
 		if m.txs[old.id] == old {
@@ -827,14 +828,14 @@ func (m *Manager) sleepLocked(t *transaction) error {
 	m.setStateLocked(t, StateSleeping)
 	t.tsleep = m.clk.Now()
 	t.sleepSeq = m.commitSeq
-	if m.sleepQ.len() > 2*m.sleeping+lazySweepSlack {
+	if m.sleepQ.Len() > 2*m.sleeping+lazySweepSlack {
 		// A long sleeper holds the front while shorter sleeps come and go
 		// behind it: sweep the stale entries before they pile up.
-		m.sleepQ.filter(sleepEntry.current)
+		m.sleepQ.Filter(sleepEntry.current)
 	}
 	m.stats.Sleeps++
 	t.sleepNth = m.stats.Sleeps
-	m.sleepQ.push(sleepEntry{t: t, nth: t.sleepNth})
+	m.sleepQ.Push(sleepEntry{t: t, nth: t.sleepNth})
 	if m.obs != nil {
 		m.obs.sleeps.Inc()
 	}
@@ -1115,8 +1116,8 @@ func (m *Manager) pruneHistoriesLocked(budget int) {
 		return
 	}
 	horizon := min(m.commitSeq, m.oldestSleepSeqLocked(), m.oldestSnapshotPinLocked())
-	for ; budget > 0 && m.gcq.len() > 0; budget-- {
-		e := m.gcq.front()
+	for ; budget > 0 && m.gcq.Len() > 0; budget-- {
+		e := m.gcq.Front()
 		if e.seq > horizon {
 			break
 		}
@@ -1124,11 +1125,11 @@ func (m *Manager) pruneHistoriesLocked(budget int) {
 		if e.mb != nil {
 			m.gcVersionsLocked(e.mb, horizon)
 		}
-		m.gcq.pop()
+		m.gcq.Pop()
 	}
 	if m.obs != nil {
 		m.obs.mvccHorizonLag.Store(int64(m.commitSeq - horizon))
-		m.obs.gcQueueDepth.Store(int64(m.gcq.len()))
+		m.obs.gcQueueDepth.Store(int64(m.gcq.Len()))
 	}
 }
 
@@ -1136,11 +1137,11 @@ func (m *Manager) pruneHistoriesLocked(budget int) {
 // live sleeper — the first current entry of the arrival queue — or noPin
 // when nobody sleeps.
 func (m *Manager) oldestSleepSeqLocked() uint64 {
-	for m.sleepQ.len() > 0 {
-		if e := m.sleepQ.front(); e.current() {
+	for m.sleepQ.Len() > 0 {
+		if e := m.sleepQ.Front(); e.current() {
 			return e.t.sleepSeq
 		}
-		m.sleepQ.pop()
+		m.sleepQ.Pop()
 	}
 	return noPin
 }

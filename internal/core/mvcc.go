@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"preserial/internal/fifo"
 	"preserial/internal/sem"
 )
 
@@ -86,7 +87,7 @@ type mvccState struct {
 	// dropped when they reach the front (or, should a long-lived snapshot
 	// hold the front, by a sweep once they outnumber the open ones).
 	snapMu sync.Mutex
-	snapQ  fifo[*Snapshot]
+	snapQ  fifo.Queue[*Snapshot]
 	open   int
 }
 
@@ -95,11 +96,11 @@ type mvccState struct {
 // snapMu (not the monitor — in this package the Locked suffix is reserved
 // for monitor-held code).
 func (mv *mvccState) trimSnapshots() {
-	for mv.snapQ.len() > 0 && mv.snapQ.front().closed.Load() {
-		mv.snapQ.pop()
+	for mv.snapQ.Len() > 0 && mv.snapQ.Front().closed.Load() {
+		mv.snapQ.Pop()
 	}
-	if mv.snapQ.len() > 2*mv.open+lazySweepSlack {
-		mv.snapQ.filter(func(s *Snapshot) bool { return !s.closed.Load() })
+	if mv.snapQ.Len() > 2*mv.open+lazySweepSlack {
+		mv.snapQ.Filter(func(s *Snapshot) bool { return !s.closed.Load() })
 	}
 }
 
@@ -116,10 +117,10 @@ func (m *Manager) oldestSnapshotPinLocked() uint64 {
 	m.mvcc.snapMu.Lock()
 	defer m.mvcc.snapMu.Unlock()
 	m.mvcc.trimSnapshots()
-	if m.mvcc.snapQ.len() == 0 {
+	if m.mvcc.snapQ.Len() == 0 {
 		return noPin
 	}
-	return m.mvcc.snapQ.front().pin
+	return m.mvcc.snapQ.Front().pin
 }
 
 // noPin is the horizon contribution of an empty pin list.
@@ -173,7 +174,7 @@ func (m *Manager) BeginSnapshot() *Snapshot {
 	m.mvcc.snapMu.Lock()
 	s.pin = m.mvcc.seq.Load()
 	m.mvcc.trimSnapshots()
-	m.mvcc.snapQ.push(s)
+	m.mvcc.snapQ.Push(s)
 	m.mvcc.open++
 	m.mvcc.snapMu.Unlock()
 	if m.obs != nil {

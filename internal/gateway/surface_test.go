@@ -239,7 +239,7 @@ func TestOneCallSurfaceThreeTransports(t *testing.T) {
 		frames := rec.frames()
 		// Forget the finished transactions so the next client can reuse
 		// their ids, and with them identical frames.
-		if err := forgetAll(gw, "T", "A"); err != nil {
+		if err := forgetAll(gw, m, "T", "A"); err != nil {
 			t.Fatalf("%s: %v", cl.name, err)
 		}
 
@@ -272,8 +272,9 @@ func TestOneCallSurfaceThreeTransports(t *testing.T) {
 }
 
 // forgetAll sweeps until the engine has forgotten every named terminal
-// transaction.
-func forgetAll(gw *gateway.Server, txs ...string) error {
+// transaction, then has the GTM forget them too: it would otherwise keep
+// their ids taken until it retires them by count.
+func forgetAll(gw *gateway.Server, m *core.Manager, txs ...string) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		gw.Engine().Sweep(0)
@@ -284,6 +285,11 @@ func forgetAll(gw *gateway.Server, txs ...string) error {
 			}
 		}
 		if known == 0 {
+			for _, tx := range txs {
+				if err := m.Forget(core.TxID(tx)); err != nil {
+					return err
+				}
+			}
 			return nil
 		}
 		if time.Now().After(deadline) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"preserial/internal/core"
+	"preserial/internal/fifo"
 	"preserial/internal/obs"
 	"preserial/internal/sem"
 	"preserial/internal/wire"
@@ -50,10 +51,11 @@ type Cluster struct {
 	HookAfterPrepare func(tx string)
 	HookAfterLog     func(tx string)
 
-	mu      sync.Mutex
-	txs     map[string]*clusterTx
-	records map[string]txRecord // terminal outcomes of coordinator-settled txs
-	pending map[string]Decision // decided, not yet acknowledged done
+	mu       sync.Mutex
+	txs      map[string]*clusterTx // live transactions; each leaves at its outcome
+	records  map[string]txRecord   // outcomes of the newest finished, see recordLocked
+	finished fifo.Queue[string]    // records' ids in the order they finished
+	pending  map[string]Decision   // decided, not yet acknowledged done
 
 	// Failure-detector state, one slot per shard; nil until
 	// StartFailureDetector runs. Guarded by fdMu (the detector ticks while
@@ -69,7 +71,7 @@ type fdBeat struct {
 	missed int       // consecutive failed pings
 }
 
-// txRecord remembers a settled transaction's outcome at the coordinator.
+// txRecord remembers a finished transaction's outcome at the coordinator.
 type txRecord struct {
 	state  core.State
 	reason string
@@ -109,7 +111,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		for _, d := range pending {
 			cl.pending[d.Tx] = d
 			// A logged decision is a commitment — recovery completes it.
-			cl.records[d.Tx] = txRecord{state: core.StateCommitted}
+			cl.recordLocked(d.Tx, core.StateCommitted, "")
 		}
 		if len(pending) > 0 {
 			lg.Printf("shard: recovered %d in-doubt decisions from the coordinator log", len(pending))
@@ -166,13 +168,19 @@ func (cl *Cluster) TxState(tx string) (core.State, error) {
 	cl.mu.Unlock()
 	if live {
 		states := t.subStates()
-		if len(states) > 0 {
-			return mergeStates(states), nil
+		if len(states) == 0 {
+			return core.StateActive, nil // begun, nothing invoked yet
 		}
-		if settled {
-			return rec.state, nil
+		st := mergeStates(states)
+		// A shard aborted it on its own (a timed-out wait): unwind the rest,
+		// unless a Commit, Abort or Awake in flight settles it.
+		if st == core.StateAborted && t.op.TryLock() {
+			if subs, err := t.snapshot(); err == nil {
+				t.unwind(subs, "")
+			}
+			t.op.Unlock()
 		}
-		return core.StateActive, nil // begun, nothing invoked yet
+		return st, nil
 	}
 	if settled {
 		return rec.state, nil
@@ -199,13 +207,7 @@ func (cl *Cluster) Sleep(tx string) error {
 	if !live {
 		return fmt.Errorf("%w: %s", core.ErrUnknownTx, tx)
 	}
-	var firstErr error
-	for _, sub := range t.snapshot() {
-		if err := sub.sess.Sleep(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return t.Sleep()
 }
 
 // SleepAllLive implements wire.Backend (graceful drain): every live
@@ -220,7 +222,8 @@ func (cl *Cluster) SleepAllLive() []string {
 	var slept []string
 	for _, t := range txs {
 		any := false
-		for _, sub := range t.snapshot() {
+		subs, _ := t.snapshot()
+		for _, sub := range subs {
 			st, err := cl.shards[sub.idx].TxState(t.id)
 			if err != nil || (st != core.StateActive && st != core.StateWaiting) {
 				continue
@@ -237,34 +240,18 @@ func (cl *Cluster) SleepAllLive() []string {
 	return slept
 }
 
-// Sweep implements wire.Backend: shard-local sweeps plus the coordinator's
-// own terminal records.
-func (cl *Cluster) Sweep(olderThan time.Duration) []string {
-	seen := make(map[string]bool)
-	for _, sh := range cl.shards {
-		for _, id := range sh.Sweep(olderThan) {
-			seen[id] = true
-		}
+// recordLocked notes tx's outcome and forgets the oldest one beyond
+// core.TerminalRetention. Callers hold cl.mu.
+func (cl *Cluster) recordLocked(tx string, st core.State, reason string) {
+	if _, ok := cl.records[tx]; ok {
+		return // a recovered decision, resolved: it was recorded committed
 	}
-	removed := make([]string, 0, len(seen))
-	for id := range seen {
-		removed = append(removed, id)
+	cl.records[tx] = txRecord{state: st, reason: reason}
+	cl.finished.Push(tx)
+	if cl.finished.Len() > core.TerminalRetention {
+		delete(cl.records, cl.finished.Front())
+		cl.finished.Pop()
 	}
-	sort.Strings(removed)
-	cl.mu.Lock()
-	var release []*clusterTx
-	for _, id := range removed {
-		if t, ok := cl.txs[id]; ok {
-			release = append(release, t)
-			delete(cl.txs, id)
-		}
-		delete(cl.records, id)
-	}
-	cl.mu.Unlock()
-	for _, t := range release {
-		t.Release()
-	}
-	return removed
 }
 
 // Transactions implements wire.Backend: the union of every shard's
@@ -549,7 +536,7 @@ func (cl *Cluster) ResolveInDoubt() (resolved int, firstErr error) {
 		}
 		cl.mu.Lock()
 		delete(cl.pending, d.Tx)
-		cl.records[d.Tx] = txRecord{state: core.StateCommitted}
+		cl.recordLocked(d.Tx, core.StateCommitted, "")
 		cl.mu.Unlock()
 		resolved++
 	}
@@ -605,8 +592,16 @@ type clusterTx struct {
 	cl *Cluster
 	id string
 
+	// op is held by Commit, Abort and Awake, which settle it themselves.
+	//
+	//gtmlint:lockorder shard.clusterTx.op -> shard.clusterTx.mu
+	//gtmlint:lockorder shard.clusterTx.op -> shard.Cluster.mu
+	//gtmlint:lockorder shard.clusterTx.op -> shard.CoordLog.mu
+	op sync.Mutex
+
 	mu   sync.Mutex
 	subs []subRef // ascending shard order
+	done bool     // the outcome is recorded and the sub-sessions released
 }
 
 type subRef struct {
@@ -614,11 +609,15 @@ type subRef struct {
 	sess Session
 }
 
-// snapshot returns the sub-sessions in ascending shard order.
-func (t *clusterTx) snapshot() []subRef {
+// snapshot returns the sub-sessions in ascending shard order, or an error
+// once the transaction finished.
+func (t *clusterTx) snapshot() ([]subRef, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]subRef(nil), t.subs...)
+	if t.done {
+		return nil, fmt.Errorf("%w: %s has finished", core.ErrBadState, t.id)
+	}
+	return append([]subRef(nil), t.subs...), nil
 }
 
 // find returns where shard idx's sub-session sits in t.subs, or where it
@@ -632,6 +631,9 @@ func (t *clusterTx) find(idx int) (int, bool) {
 func (t *clusterTx) sub(idx int, begin bool) (Session, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.done {
+		return nil, fmt.Errorf("%w: %s has finished", core.ErrBadState, t.id)
+	}
 	i, ok := t.find(idx)
 	if ok {
 		return t.subs[i].sess, nil
@@ -647,9 +649,14 @@ func (t *clusterTx) sub(idx int, begin bool) (Session, error) {
 	return sess, nil
 }
 
-// Release drops per-shard resources.
-func (t *clusterTx) Release() {
-	for _, sub := range t.snapshot() {
+// release drops the sub-sessions (a remote session's connection) once the
+// outcome is recorded; later calls are refused.
+func (t *clusterTx) release() {
+	t.mu.Lock()
+	subs := t.subs
+	t.subs, t.done = nil, true
+	t.mu.Unlock()
+	for _, sub := range subs {
 		sub.sess.Release()
 	}
 }
@@ -684,7 +691,12 @@ func (t *clusterTx) Apply(obj core.ObjectID, operand sem.Value) error {
 
 // Abort aborts every sub-transaction.
 func (t *clusterTx) Abort() error {
-	subs := t.snapshot()
+	t.op.Lock()
+	defer t.op.Unlock()
+	subs, err := t.snapshot()
+	if err != nil {
+		return err
+	}
 	var firstErr error
 	for _, sub := range subs {
 		if err := sub.sess.Abort(); err != nil && firstErr == nil {
@@ -699,8 +711,12 @@ func (t *clusterTx) Abort() error {
 
 // Sleep parks every sub-transaction.
 func (t *clusterTx) Sleep() error {
+	subs, err := t.snapshot()
+	if err != nil {
+		return err
+	}
 	var firstErr error
-	for _, sub := range t.snapshot() {
+	for _, sub := range subs {
 		if err := sub.sess.Sleep(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -719,7 +735,12 @@ func (t *clusterTx) Sleep() error {
 // the awaken re-resolves: re-begin under the same id to adopt the
 // reconstructed sleeper, swap the session in, and retry.
 func (t *clusterTx) Awake() (bool, error) {
-	subs := t.snapshot()
+	t.op.Lock()
+	defer t.op.Unlock()
+	subs, err := t.snapshot()
+	if err != nil {
+		return false, err
+	}
 	resumed := true
 	var firstErr error
 	for si, sub := range subs {
@@ -742,14 +763,20 @@ func (t *clusterTx) Awake() (bool, error) {
 		}
 	}
 	if !resumed {
-		for _, sub := range subs {
-			if st, err := t.cl.shards[sub.idx].TxState(t.id); err == nil && !st.Terminal() {
-				_ = sub.sess.Abort()
-			}
-		}
-		t.record(core.StateAborted, core.AbortSleepConflict.String())
+		t.unwind(subs, core.AbortSleepConflict.String())
 	}
 	return resumed, firstErr
+}
+
+// unwind aborts every sub-transaction still running and records the
+// transaction aborted: one participant refusing dooms them all.
+func (t *clusterTx) unwind(subs []subRef, reason string) {
+	for _, sub := range subs {
+		if st, err := t.cl.shards[sub.idx].TxState(t.id); err == nil && !st.Terminal() {
+			_ = sub.sess.Abort()
+		}
+	}
+	t.record(core.StateAborted, reason)
 }
 
 // reresolve swaps a stale sub-session for a fresh one on its (possibly
@@ -782,7 +809,8 @@ func (t *clusterTx) reresolve(sub subRef) (Session, error) {
 // subStates returns the current state of every sub-transaction.
 func (t *clusterTx) subStates() []core.State {
 	var states []core.State
-	for _, sub := range t.snapshot() {
+	subs, _ := t.snapshot()
+	for _, sub := range subs {
 		if st, err := t.cl.shards[sub.idx].TxState(t.id); err == nil {
 			states = append(states, st)
 		}
@@ -790,11 +818,17 @@ func (t *clusterTx) subStates() []core.State {
 	return states
 }
 
-// record notes the transaction's terminal outcome at the coordinator.
+// record notes the outcome and lets the transaction go: it leaves the live
+// set, and its sub-sessions (a router's participant connections) close.
 func (t *clusterTx) record(st core.State, reason string) {
-	t.cl.mu.Lock()
-	t.cl.records[t.id] = txRecord{state: st, reason: reason}
-	t.cl.mu.Unlock()
+	cl := t.cl
+	cl.mu.Lock()
+	cl.recordLocked(t.id, st, reason)
+	if cl.txs[t.id] == t {
+		delete(cl.txs, t.id)
+	}
+	cl.mu.Unlock()
+	t.release()
 }
 
 // Commit commits the transaction. One participating shard: the shard's own
@@ -804,7 +838,12 @@ func (t *clusterTx) record(st core.State, reason string) {
 // slots), log the decision (the commit point), then decide every
 // participant in parallel, each decided SST carrying the decision marker.
 func (t *clusterTx) Commit(ctx context.Context) error {
-	subs := t.snapshot()
+	t.op.Lock()
+	defer t.op.Unlock()
+	subs, err := t.snapshot()
+	if err != nil {
+		return err
+	}
 	cl := t.cl
 	switch len(subs) {
 	case 0:
@@ -813,7 +852,10 @@ func (t *clusterTx) Commit(ctx context.Context) error {
 		return nil
 	case 1:
 		if err := subs[0].sess.Commit(ctx); err != nil {
-			t.record(core.StateAborted, "")
+			// Settled only if the shard settled it: the call may be lost.
+			if st, serr := cl.shards[subs[0].idx].TxState(t.id); serr == nil && st.Terminal() {
+				t.record(st, "")
+			}
 			return err
 		}
 		cl.metrics.singleCommits.Inc()

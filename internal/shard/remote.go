@@ -29,10 +29,10 @@ const (
 )
 
 // RemoteShard fronts a participant gtmd process over the wire protocol —
-// the multi-process deployment. Each transaction gets its own connection
-// (the protocol ties disconnection semantics to connections); control-plane
-// calls (state, stats, decide-by-id, replay) share one lazily redialed
-// control connection.
+// the multi-process deployment. Each live transaction gets its own
+// connection (the protocol ties disconnection semantics to connections),
+// closed when the cluster learns the outcome; control-plane calls (state,
+// stats, decide-by-id, replay) share one lazily redialed connection.
 //
 // Liveness is observed, not configured: a transport-level failure marks the
 // shard down, the next successful call marks it up again.
@@ -151,8 +151,8 @@ func (r *RemoteShard) Begin(tx string) (Session, error) {
 }
 
 // Decide implements Shard: deliver a coordinator verdict by transaction id.
-// The participant's server still holds the session (sessions outlive
-// connections, until swept), so this works after a coordinator restart; a
+// The participant's server still holds the prepared session (sessions
+// outlive connections), so this works after a coordinator restart; a
 // participant that itself restarted answers unknown-transaction and the
 // caller falls back to Replay.
 func (r *RemoteShard) Decide(tx string, commit bool, extra []wire.SSTWriteJSON) error {
@@ -192,10 +192,6 @@ func (r *RemoteShard) TxState(tx string) (core.State, error) {
 func (r *RemoteShard) Sleep(tx string) error {
 	return r.withCtl(func(cn *wire.Conn) error { return cn.Sleep(tx) })
 }
-
-// Sweep implements Shard. Remote participants run their own retention
-// sweeps; the router has nothing to do.
-func (r *RemoteShard) Sweep(time.Duration) []string { return nil }
 
 // Transactions implements Shard; nil when the call fails (a transport
 // failure also marks the shard down).

@@ -257,8 +257,8 @@ func (ss *session) live() error {
 
 // finish runs a terminal operation: clear the journal row first if one can
 // exist, forget the session and its history once the operation succeeded —
-// a finished transaction never sleeps again, while its handle may be held
-// until the front end sweeps it.
+// a finished transaction never sleeps again, while the front end may hold
+// its handle for a while yet.
 func (ss *session) finish(op func() error) error {
 	if err := ss.live(); err != nil {
 		return err

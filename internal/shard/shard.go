@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"preserial/internal/core"
 	"preserial/internal/ldbs"
@@ -97,9 +96,6 @@ type Shard interface {
 	TxState(tx string) (core.State, error)
 	// Sleep parks a sub-transaction (disconnection semantics).
 	Sleep(tx string) error
-	// Sweep forgets long-terminal sub-transactions. Remote shards sweep
-	// themselves (their own server's retention loop) and return nil.
-	Sweep(olderThan time.Duration) []string
 	// Transactions snapshots the shard's registry; nil while the shard is
 	// down or unreachable.
 	Transactions() []wire.TxSummaryJSON
@@ -520,15 +516,6 @@ func (s *LocalShard) Sleep(tx string) error {
 		return err
 	}
 	return st.backend.Sleep(tx)
-}
-
-// Sweep implements Shard.
-func (s *LocalShard) Sweep(olderThan time.Duration) []string {
-	st, err := s.up()
-	if err != nil {
-		return nil
-	}
-	return st.backend.Sweep(olderThan)
 }
 
 // Transactions implements Shard.

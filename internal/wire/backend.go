@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"preserial/internal/core"
 	"preserial/internal/sem"
@@ -51,9 +50,6 @@ type Backend interface {
 	// SleepAllLive parks every Active/Waiting transaction (graceful drain)
 	// and returns the ids it put to sleep.
 	SleepAllLive() []string
-	// Sweep forgets every transaction that reached a terminal state more
-	// than olderThan ago and returns the ids removed.
-	Sweep(olderThan time.Duration) []string
 	// Transactions snapshots the registry.
 	Transactions() []TxSummaryJSON
 	// Objects lists managed object ids.
@@ -79,7 +75,7 @@ type SnapshotBackend interface {
 
 // ReadOnlySession marks sessions served by the snapshot read path, so the
 // engine can tell them apart from backend transactions (they are invisible
-// to the backend's registry and must be cleaned up engine-side).
+// to the backend's registry: only the engine can close an orphaned one).
 type ReadOnlySession interface {
 	ReadOnly() bool
 }
@@ -205,9 +201,8 @@ var ErrReadOnlyTx = errors.New("wire: transaction is read-only")
 
 func (s *snapshotSession) ReadOnly() bool { return true }
 
-// Done reports whether the snapshot has been released — the engine's sweep
-// uses it to drop the session's registry entry (snapshot sessions are
-// invisible to the backend's registry, so the backend cannot sweep them).
+// Done reports whether the snapshot has been released (the engine does not
+// ask; the bench module's session decorator forwards it).
 func (s *snapshotSession) Done() bool { return s.snap.Closed() }
 
 func (s *snapshotSession) Invoke(ctx context.Context, obj core.ObjectID, op sem.Op) error {
@@ -249,7 +244,6 @@ func (s *snapshotSession) Awake() (bool, error) {
 
 func (b managerBackend) TxState(tx string) (core.State, error) { return b.m.TxState(core.TxID(tx)) }
 func (b managerBackend) Sleep(tx string) error                 { return b.m.Sleep(core.TxID(tx)) }
-func (b managerBackend) Forget(tx string) error                { return b.m.Forget(core.TxID(tx)) }
 
 func (b managerBackend) SleepAllLive() []string {
 	slept := b.m.SleepAllLive()
@@ -258,21 +252,6 @@ func (b managerBackend) SleepAllLive() []string {
 		out[i] = string(id)
 	}
 	return out
-}
-
-func (b managerBackend) Sweep(olderThan time.Duration) []string {
-	cutoff := time.Now().Add(-olderThan)
-	var removed []string
-	for _, info := range b.m.Transactions() {
-		if !info.State.Terminal() || info.Finished.After(cutoff) {
-			continue
-		}
-		if err := b.m.Forget(info.ID); err != nil {
-			continue
-		}
-		removed = append(removed, string(info.ID))
-	}
-	return removed
 }
 
 func (b managerBackend) Transactions() []TxSummaryJSON {

@@ -71,7 +71,7 @@ func (w *dedupWindow) finish(e *dedupEntry, resp *Response) {
 // collapse drops every entry except seq — called once a transaction
 // reaches a terminal outcome, when no other recorded response can ever be
 // replayed again. The surviving entry keeps commit/abort retries
-// exactly-once until the sweep forgets the transaction entirely.
+// exactly-once until the engine drops the window (see Engine.finish).
 func (w *dedupWindow) collapse(seq uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

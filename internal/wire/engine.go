@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"preserial/internal/core"
+	"preserial/internal/fifo"
 	"preserial/internal/obs"
 	"preserial/internal/sem"
 )
@@ -70,8 +71,8 @@ type EngineOptions struct {
 	Logger *log.Logger
 	// InvokeTimeout bounds a blocking invoke; zero means no limit.
 	InvokeTimeout time.Duration
-	// Retention is how long terminal (committed/aborted) transactions stay
-	// queryable before the engine forgets them and frees their state.
+	// Retention is how long the engine keeps a finished transaction's
+	// terminal reply for replay before it forgets the transaction.
 	// Zero means 10 minutes; negative retains forever.
 	Retention time.Duration
 	// Obs, when non-nil, receives the engine's replay/drain counters.
@@ -81,7 +82,7 @@ type EngineOptions struct {
 // Engine executes protocol requests against a Backend. It owns everything
 // that is independent of how requests arrive: the transaction-id → Session
 // registry, the per-transaction exactly-once replay windows, ownership and
-// the disconnection semantics, sweeping of long-terminal transactions, and
+// the disconnection semantics, the retention of finished transactions, and
 // graceful drain. Front ends — the classic one-goroutine-per-connection
 // wire.Server and the multiplexing internal/gateway — own framing,
 // connection lifecycle, and scheduling, and call Serve for each request.
@@ -99,30 +100,24 @@ type Engine struct {
 	baseCtx  context.Context // canceled on Stop/Drain to unblock waits
 	baseStop context.CancelFunc
 
-	mu        sync.Mutex
-	clients   map[string]registered
-	owners    map[string]any // key of the latest Owner driving each tx
-	dedups    map[string]*dedupWindow
-	terminal  []retired        // finished transactions still holding a session, oldest first
-	replies   map[string]reply // finished transactions past the count, until the age sweep
-	begun     uint64           // registrations so far; numbers each one
-	stopSweep chan struct{}
-	stopped   bool
+	mu  sync.Mutex
+	txs map[string]*txEntry
+	// Finished transactions in finishing order, split at the count bound:
+	// the newest core.TerminalRetention, then older ones keeping a reply.
+	recent, kept fifo.Queue[*txEntry]
+	orphans      map[*txEntry]bool // live, and nobody drives them (see reapOrphans)
+	stopSweep    chan struct{}
+	stopped      bool
 }
 
-// registered is a transaction's session, numbered so that a terminal entry
-// can tell its registration from a later one reusing the id.
-type registered struct {
-	Session
-	n uint64
-}
-
-// retired is one terminal entry: the transaction id, the registration that
-// finished, and the reply to keep once the session is dropped.
-type retired struct {
-	tx string
-	n  uint64
-	reply
+// txEntry is everything the engine holds for one transaction id. A queued
+// entry that is no longer txs[tx] was swept or its id reused: it is skipped.
+type txEntry struct {
+	tx    string
+	sess  Session      // nil while its begin runs and once past the count bound
+	owner any          // key of the latest Owner driving it
+	dedup *dedupWindow // nil until a sequenced request, and past the count bound
+	reply              // set when the transaction finishes
 }
 
 // reply is a finished transaction's terminal reply and the sequence number
@@ -131,8 +126,10 @@ type retired struct {
 type reply struct {
 	seq  uint64 // 0: the terminal op was not sequenced, nothing to replay
 	json string
-	at   time.Time // when the transaction finished
+	at   time.Time // when the transaction finished; zero while it runs
 }
+
+func (ent *txEntry) finished() bool { return !ent.at.IsZero() }
 
 // NewEngine builds an Engine over a Backend.
 func NewEngine(b Backend, opts EngineOptions) *Engine {
@@ -152,10 +149,8 @@ func NewEngine(b Backend, opts EngineOptions) *Engine {
 		retention:     retention,
 		baseCtx:       baseCtx,
 		baseStop:      baseStop,
-		clients:       make(map[string]registered),
-		owners:        make(map[string]any),
-		dedups:        make(map[string]*dedupWindow),
-		replies:       make(map[string]reply),
+		txs:           make(map[string]*txEntry),
+		orphans:       make(map[*txEntry]bool),
 	}
 	if opts.Obs != nil {
 		e.obs = opts.Obs
@@ -170,7 +165,7 @@ func NewEngine(b Backend, opts EngineOptions) *Engine {
 // Backend returns the backend the engine executes against.
 func (e *Engine) Backend() Backend { return e.b }
 
-// StartSweep launches the periodic terminal-transaction sweeper (idempotent;
+// StartSweep launches the periodic finished-transaction sweeper (idempotent;
 // a no-op when retention is negative or the engine is stopped).
 func (e *Engine) StartSweep() {
 	if e.retention <= 0 {
@@ -198,7 +193,7 @@ func (e *Engine) Stop() {
 	e.baseStop()
 }
 
-// sweepLoop periodically forgets long-terminal transactions.
+// sweepLoop periodically forgets long-finished transactions.
 func (e *Engine) sweepLoop(stop chan struct{}) {
 	t := time.NewTicker(e.retention / 4)
 	defer t.Stop()
@@ -208,42 +203,50 @@ func (e *Engine) sweepLoop(stop chan struct{}) {
 			return
 		case <-t.C:
 			e.Sweep(e.retention)
+			e.reapOrphans()
 		}
 	}
 }
 
-// Sweep forgets every terminal transaction that finished more than
-// olderThan ago, freeing its registry entry, client handle and replay
-// window. It returns the ids removed.
+// Sweep forgets every transaction that finished more than olderThan ago and
+// returns the ids removed. It asks the backend nothing: the GTM retires its
+// records by count, so a swept id's state stays answerable until then.
 func (e *Engine) Sweep(olderThan time.Duration) []string {
-	removed := e.b.Sweep(olderThan)
-	e.mu.Lock()
-	// Read-only snapshot sessions never reach the backend's registry, so
-	// the backend cannot sweep them: drop the closed ones here.
-	for id, c := range e.clients {
-		if done, ok := c.Session.(interface{ Done() bool }); ok && done.Done() {
-			removed = append(removed, id)
-		}
-	}
-	for _, id := range removed {
-		delete(e.clients, id)
-		delete(e.owners, id)
-		delete(e.dedups, id)
-	}
-	// The backend has retired the transactions whose replies are kept (see
-	// finish), so they go by their own age.
 	cut := time.Now().Add(-olderThan)
-	for id, r := range e.replies {
-		if r.at.Before(cut) {
-			removed = append(removed, id)
-			delete(e.replies, id)
+	var removed []string
+	e.mu.Lock()
+	// Every kept entry finished before every recent one.
+	for _, q := range []*fifo.Queue[*txEntry]{&e.kept, &e.recent} {
+		for q.Len() > 0 && !q.Front().at.After(cut) {
+			if ent := q.Front(); e.txs[ent.tx] == ent {
+				delete(e.txs, ent.tx)
+				removed = append(removed, ent.tx)
+			}
+			q.Pop()
 		}
 	}
 	e.mu.Unlock()
 	if len(removed) > 0 {
-		e.log.Printf("wire: swept %d terminal transactions", len(removed))
+		e.log.Printf("wire: swept %d finished transactions", len(removed))
 	}
 	return removed
+}
+
+// reapOrphans finishes every transaction left without an owner that the
+// GTM has since ended on its own, a sleeper its supervisor aborted say: no
+// request would ever tell the engine. It costs one state probe per orphan.
+func (e *Engine) reapOrphans() {
+	e.mu.Lock()
+	ids := make([]string, 0, len(e.orphans))
+	for ent := range e.orphans {
+		ids = append(ids, ent.tx)
+	}
+	e.mu.Unlock()
+	for _, id := range ids {
+		if st, err := e.b.TxState(id); err != nil || st.Terminal() {
+			e.finish(id, reply{}, NewOwner(nil))
+		}
+	}
 }
 
 // DrainReport summarizes a graceful drain.
@@ -307,27 +310,30 @@ func (e *Engine) Drain(timeout time.Duration) DrainReport {
 func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 	if req.Seq == 0 || req.Tx == "" || !req.Op.Mutating() {
 		resp := e.dispatch(req, owner)
-		if terminal(req, resp) {
-			e.finish(req, resp, owner)
-		}
+		e.settle(req, resp, owner)
 		return resp
 	}
 	e.mu.Lock()
-	w := e.dedups[req.Tx]
-	if w == nil {
-		r, kept := e.replies[req.Tx]
-		if kept && r.seq == req.Seq {
-			e.mu.Unlock()
-			return e.replay(r)
-		}
-		if _, known := e.clients[req.Tx]; !known && (kept || req.Op != OpBegin) {
-			// Nothing to deduplicate: dispatch refuses the request, and a
-			// window here would never be freed.
-			e.mu.Unlock()
-			return e.dispatch(req, owner)
-		}
+	ent := e.txs[req.Tx]
+	var w *dedupWindow
+	switch {
+	case ent != nil && ent.dedup != nil:
+		w = ent.dedup
+	case ent != nil && ent.sess == nil && ent.seq == req.Seq:
+		e.mu.Unlock()
+		return e.replay(ent.reply)
+	case ent == nil && req.Op == OpBegin:
+		ent = &txEntry{tx: req.Tx}
+		e.txs[req.Tx] = ent
+		fallthrough
+	case ent != nil && ent.sess != nil:
 		w = newDedupWindow(DefaultDedupWindow)
-		e.dedups[req.Tx] = w
+		ent.dedup = w
+	default:
+		// Nothing to deduplicate: dispatch refuses the request, and a
+		// window here would never be freed.
+		e.mu.Unlock()
+		return e.dispatch(req, owner)
 	}
 	e.mu.Unlock()
 	entry, fresh, err := w.admit(req.Seq)
@@ -343,14 +349,13 @@ func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 		// (Keeping that one entry is what lets a reconnecting client replay
 		// the terminal op it never got an answer for; see finish.)
 		switch {
-		case terminal(req, resp):
+		case e.settle(req, resp, owner):
 			w.collapse(req.Seq)
-			e.finish(req, resp, owner)
 		case req.Op == OpBegin && !resp.OK:
-			// Nothing began, so no sweep would ever free the window.
+			// Nothing began, so no sweep would ever free the entry.
 			e.mu.Lock()
-			if _, known := e.clients[req.Tx]; !known && e.dedups[req.Tx] == w {
-				delete(e.dedups, req.Tx)
+			if ent := e.txs[req.Tx]; ent != nil && ent.sess == nil && ent.dedup == w {
+				delete(e.txs, req.Tx)
 			}
 			e.mu.Unlock()
 		}
@@ -377,7 +382,7 @@ func (e *Engine) Serve(req *Request, owner *Owner) *Response {
 
 // terminal reports whether resp leaves the transaction terminal: a
 // successful commit, abort or decide, or an awake that found the sleeper
-// invalidated. Its dedup window can collapse to the single terminal entry.
+// invalidated.
 func terminal(req *Request, resp *Response) bool {
 	switch {
 	case !resp.OK:
@@ -389,43 +394,64 @@ func terminal(req *Request, resp *Response) bool {
 	}
 }
 
-// finish records that req left its transaction terminal with resp. The
-// owner stops tracking it: a finished transaction cannot sleep on
-// disconnect and needs no re-adoption, which keeps a parked gateway
-// session's byte cost flat no matter how many transactions it has run.
-//
-// The engine holds the sessions of the newest core.TerminalRetention
-// finished transactions and drops the oldest one beyond that, with its
-// ownership and dedup window, so memory stays flat however fast
-// transactions finish. This FIFO counts what the engine finishes,
-// read-only snapshot sessions included: it is sized like core's retention
-// queue but is not the same set. What outlives the drop is the terminal
-// reply, the one thing a client that lost it needs: its retry is still
-// replayed, attach still succeeds, and begin refuses the id, until the
-// age sweep after Retention.
-func (e *Engine) finish(req *Request, resp *Response, owner *Owner) {
-	owner.Forget(req.Tx)
-	r := reply{seq: req.Seq, at: time.Now()}
+// settle finishes req's transaction if resp leaves it terminal, and reports
+// whether it did. A failed mutating request may leave it terminal too (a
+// commit the CHECK constraint refused, a wait the supervisor timed out):
+// one backend probe decides, and a terminal or unknown state finishes it.
+func (e *Engine) settle(req *Request, resp *Response, owner *Owner) bool {
+	if !terminal(req, resp) {
+		if resp.OK || req.Tx == "" || !req.Op.Mutating() || req.Op == OpBegin {
+			return false
+		}
+		sess, _ := e.lookup(req.Tx)
+		if ro, ok := sess.(ReadOnlySession); sess == nil || ok && ro.ReadOnly() {
+			return false // a snapshot ends only by commit or abort
+		}
+		if st, err := e.b.TxState(req.Tx); err == nil && !st.Terminal() {
+			return false
+		}
+	}
+	r := reply{seq: req.Seq}
 	if r.seq != 0 {
 		b, _ := json.Marshal(resp) // encodes as the front end sends it
 		r.json = string(b)
 	}
+	return e.finish(req.Tx, r, owner)
+}
+
+// finish records that tx finished with reply r, and reports whether it had
+// not finished before. The owner stops tracking it, which keeps a parked
+// gateway session's byte cost flat however many transactions it has run.
+// Past the newest core.TerminalRetention finished transactions (read-only
+// sessions counted, so not the GTM's set), an entry keeps only a sequenced
+// terminal reply, all that a client which lost it needs: its retry is still
+// replayed, attach succeeds and begin refuses the id until the age sweep.
+func (e *Engine) finish(tx string, r reply, owner *Owner) bool {
+	owner.Forget(tx)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.terminal = append(e.terminal, retired{req.Tx, e.clients[req.Tx].n, r})
-	for len(e.terminal) > core.TerminalRetention {
-		old := e.terminal[0]
-		e.terminal = e.terminal[1:]
-		// An id swept by age, or begun again since, is not this entry's.
-		if c, ok := e.clients[old.tx]; ok && c.n == old.n {
-			delete(e.clients, old.tx)
-			delete(e.owners, old.tx)
-			delete(e.dedups, old.tx)
-			if old.seq != 0 {
-				e.replies[old.tx] = old.reply
-			}
-		}
+	ent := e.txs[tx]
+	if ent == nil || ent.sess == nil || ent.finished() {
+		return false
 	}
+	delete(e.orphans, ent)
+	r.at = time.Now()
+	ent.reply = r
+	e.recent.Push(ent)
+	for e.recent.Len() > core.TerminalRetention {
+		old := e.recent.Front()
+		e.recent.Pop()
+		if e.txs[old.tx] != old {
+			continue
+		}
+		old.sess, old.owner, old.dedup = nil, nil, nil
+		if old.seq == 0 {
+			delete(e.txs, old.tx) // nothing to replay
+			continue
+		}
+		e.kept.Push(old)
+	}
+	return true
 }
 
 // replay answers a retry from a kept terminal reply.
@@ -441,56 +467,50 @@ func (e *Engine) replay(r reply) *Response {
 	return &resp
 }
 
-// settled reports whether tx finished and its session was dropped while
-// its terminal reply is still kept.
-func (e *Engine) settled(tx string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.replies[tx]
-	return ok
-}
-
 // Adopt registers owner as the latest driver of tx.
 func (e *Engine) Adopt(tx string, owner *Owner) {
 	owner.remember(tx)
 	e.mu.Lock()
-	e.owners[tx] = owner.key
+	if ent := e.txs[tx]; ent != nil {
+		ent.owner = owner.key
+		delete(e.orphans, ent)
+	}
 	e.mu.Unlock()
 }
 
 // DisconnectOwner implements the mobile-disconnection semantics: every
 // transaction begun (or attached) by the lost owner that is still Active or
-// Waiting goes to sleep and can be attached + awakened later. A transaction
-// whose ownership has moved to a newer owner (the client reconnected and
-// re-attached before this teardown ran) is left alone — without this check
-// the dying owner would put a freshly re-attached transaction back to sleep
-// under its new owner.
+// Waiting goes to sleep and can be attached + awakened later; one that has
+// ended is finished. A transaction whose ownership has moved to a newer
+// owner (the client re-attached before this teardown ran) is left alone —
+// without this check the dying owner would put a freshly re-attached
+// transaction back to sleep under its new owner.
 func (e *Engine) DisconnectOwner(owner *Owner) {
 	for _, id := range owner.Owned() {
 		e.mu.Lock()
-		current, ok := e.owners[id]
-		if ok && current != owner.key {
+		ent := e.txs[id]
+		if ent == nil || ent.sess == nil || ent.finished() || ent.owner != nil && ent.owner != owner.key {
 			e.mu.Unlock()
-			continue // re-attached elsewhere meanwhile
+			continue // finished, or re-attached elsewhere meanwhile
 		}
-		delete(e.owners, id)
+		ent.owner = nil
+		e.orphans[ent] = true // until it finishes or an owner adopts it
+		sess := ent.sess
 		e.mu.Unlock()
-		st, err := e.b.TxState(id)
-		if err != nil {
-			// Unknown to the backend: a read-only snapshot session.
+		if ro, ok := sess.(ReadOnlySession); ok && ro.ReadOnly() {
 			// Snapshots cannot sleep, and an orphaned pin would hold
 			// version GC back indefinitely — close it; a reconnecting
 			// client re-begins at a fresh pin.
-			e.mu.Lock()
-			c := e.clients[id].Session
-			e.mu.Unlock()
-			if ro, ok := c.(ReadOnlySession); ok && ro.ReadOnly() {
-				_ = c.Abort()
-				e.log.Printf("wire: owner lost, read-only snapshot %s closed", id)
-			}
+			_ = sess.Abort()
+			e.finish(id, reply{}, owner)
+			e.log.Printf("wire: owner lost, read-only snapshot %s closed", id)
 			continue
 		}
-		if st == core.StateActive || st == core.StateWaiting {
+		st, err := e.b.TxState(id)
+		switch {
+		case err != nil || st.Terminal():
+			e.finish(id, reply{}, owner)
+		case st == core.StateActive || st == core.StateWaiting:
 			if err := e.b.Sleep(id); err == nil {
 				e.log.Printf("wire: owner lost, transaction %s now sleeping", id)
 			}
@@ -498,28 +518,32 @@ func (e *Engine) DisconnectOwner(owner *Owner) {
 	}
 }
 
-// client returns the registered session for a transaction.
-func (e *Engine) client(tx string) (Session, error) {
+// lookup returns tx's registered session (nil if none) and whether it finished.
+func (e *Engine) lookup(tx string) (Session, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c, ok := e.clients[tx]
-	if !ok {
-		return nil, fmt.Errorf("wire: unknown transaction %q (begin or attach first)", tx)
+	if ent := e.txs[tx]; ent != nil {
+		return ent.sess, ent.finished()
 	}
-	return c.Session, nil
+	return nil, false
 }
 
 // Knows reports whether the engine has a session registered for tx.
 func (e *Engine) Knows(tx string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.clients[tx]
-	return ok
+	sess, _ := e.lookup(tx)
+	return sess != nil
 }
 
 // dispatch executes one request.
 func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 	fail := func(err error) *Response { return &Response{Err: err.Error()} }
+	// Every op on a transaction but begin runs on its registered session.
+	var c Session
+	if req.Op.Mutating() && req.Op != OpBegin || req.Op == OpRead && (req.Tx != "" || !req.ReadOnly) {
+		if c, _ = e.lookup(req.Tx); c == nil {
+			return fail(fmt.Errorf("wire: unknown transaction %q (begin or attach first)", req.Tx))
+		}
+	}
 	switch req.Op {
 	case OpPing:
 		return &Response{OK: true}
@@ -528,17 +552,17 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		if req.Tx == "" {
 			return fail(errors.New("wire: begin needs a tx id"))
 		}
-		if e.settled(req.Tx) {
-			return fail(fmt.Errorf("wire: transaction %q already exists (finished; its reply is kept for replay)", req.Tx))
+		held, done := e.lookup(req.Tx)
+		if done {
+			return fail(fmt.Errorf("wire: transaction %q already exists (finished)", req.Tx))
 		}
-		var c Session
 		var err error
 		if req.ReadOnly {
 			sb, ok := e.b.(SnapshotBackend)
 			if !ok {
 				return fail(errors.New("wire: backend does not support read-only snapshot transactions"))
 			}
-			if e.Knows(req.Tx) {
+			if held != nil {
 				return fail(fmt.Errorf("wire: transaction %q already exists", req.Tx))
 			}
 			c, err = sb.BeginSnapshot(req.Tx)
@@ -549,29 +573,28 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 			return fail(err)
 		}
 		e.mu.Lock()
-		e.begun++
-		e.clients[req.Tx] = registered{c, e.begun}
+		ent := e.txs[req.Tx]
+		if ent == nil || ent.sess != nil {
+			ent = &txEntry{tx: req.Tx}
+			e.txs[req.Tx] = ent
+		}
+		ent.sess = c
 		e.mu.Unlock()
 		e.Adopt(req.Tx, owner)
 		return &Response{OK: true}
 
 	case OpAttach:
-		if e.settled(req.Tx) {
-			// Finished: nothing left to drive, but a retry of its
-			// terminal op still gets the recorded reply.
-			return &Response{OK: true}
-		}
-		if !e.Knows(req.Tx) {
+		switch held, done := e.lookup(req.Tx); {
+		case held != nil:
+			e.Adopt(req.Tx, owner)
+		case !done:
 			return fail(fmt.Errorf("wire: no transaction %q to attach", req.Tx))
 		}
-		e.Adopt(req.Tx, owner)
+		// A transaction past the count bound has nothing left to drive,
+		// but a retry of its terminal op still gets the recorded reply.
 		return &Response{OK: true}
 
 	case OpInvoke:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		class, err := ParseClass(req.Class)
 		if err != nil {
 			return fail(err)
@@ -588,7 +611,7 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true, Granted: true}
 
 	case OpRead:
-		if req.ReadOnly && req.Tx == "" {
+		if c == nil {
 			// One-shot snapshot read: no transaction, no monitor — pin,
 			// read, release, all in this single round trip.
 			sb, ok := e.b.(SnapshotBackend)
@@ -601,10 +624,6 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 			}
 			return &Response{OK: true, Value: &wv}
 		}
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		v, err := c.Read(core.ObjectID(req.Object))
 		if err != nil {
 			return fail(err)
@@ -613,10 +632,6 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true, Value: &wv}
 
 	case OpApply:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		if req.Operand == nil {
 			return fail(errors.New("wire: apply needs an operand"))
 		}
@@ -630,40 +645,24 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true}
 
 	case OpCommit:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		if err := c.Commit(e.baseCtx); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 
 	case OpAbort:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		if err := c.Abort(); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 
 	case OpSleep:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		if err := c.Sleep(); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 
 	case OpAwake:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		resumed, err := c.Awake()
 		if err != nil {
 			return fail(err)
@@ -671,10 +670,6 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true, Resumed: resumed}
 
 	case OpPrepare:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		tp, ok := c.(TwoPhaseSession)
 		if !ok {
 			return fail(errors.New("wire: backend does not support two-phase commit"))
@@ -686,10 +681,6 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true, Writes: writes}
 
 	case OpDecide:
-		c, err := e.client(req.Tx)
-		if err != nil {
-			return fail(err)
-		}
 		tp, ok := c.(TwoPhaseSession)
 		if !ok {
 			return fail(errors.New("wire: backend does not support two-phase commit"))

@@ -121,16 +121,20 @@ func TestSweepLoopForgetsAfterRetention(t *testing.T) {
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if _, err := cn.State("done"); err != nil {
-			if !strings.Contains(err.Error(), "unknown transaction") {
+		if err := cn.Attach("done"); err != nil {
+			if !strings.Contains(err.Error(), "no transaction") {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			return // the sweeper loop forgot it on its own
+			break // the sweeper loop forgot it on its own
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("sweeper loop never forgot the terminal transaction")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	// The GTM keeps the outcome until it retires the id by count.
+	if st, err := cn.State("done"); err != nil || st != "Committed" {
+		t.Fatalf("state after the sweep = %q, %v; want Committed", st, err)
 	}
 }
 

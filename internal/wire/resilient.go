@@ -14,10 +14,12 @@ import (
 )
 
 // ErrTxLost reports that the server no longer knows a transaction this
-// client owned — it restarted (losing its in-memory GTM registry) or swept
-// the transaction past the retention window. The transaction's outcome is
-// unknown to the client: a commit that was in flight may or may not have
-// reached the WAL.
+// client owned — it restarted (losing its in-memory GTM registry) or forgot
+// the finished transaction: at the age sweep, or past the newest
+// core.TerminalRetention finished ones when it kept no terminal reply (the
+// transaction ended without a sequenced terminal request). The
+// transaction's outcome is unknown to the client: a commit that was in
+// flight may or may not have reached the WAL.
 var ErrTxLost = errors.New("wire: transaction lost by server")
 
 // ResilientOptions configures a ResilientConn. The zero value is usable.

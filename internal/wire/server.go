@@ -69,8 +69,8 @@ type ServerOptions struct {
 	Logger *log.Logger
 	// InvokeTimeout bounds a blocking invoke; zero means no limit.
 	InvokeTimeout time.Duration
-	// Retention is how long terminal (committed/aborted) transactions stay
-	// queryable before the server forgets them and frees their state.
+	// Retention is how long the server keeps a finished transaction's
+	// terminal reply for replay before it forgets the transaction.
 	// Zero means 10 minutes; negative retains forever.
 	Retention time.Duration
 	// Obs, when non-nil, receives the wire_* metric set and its live
@@ -227,9 +227,8 @@ func (s *Server) Drain(timeout time.Duration) DrainReport {
 	return rep
 }
 
-// Sweep forgets every terminal transaction that finished more than
-// olderThan ago, freeing its registry entry and client handle. It returns
-// the ids removed.
+// Sweep forgets every transaction that finished more than olderThan ago
+// (Engine.Sweep). It returns the ids removed.
 func (s *Server) Sweep(olderThan time.Duration) []string {
 	return s.e.Sweep(olderThan)
 }

@@ -124,7 +124,7 @@ func TestDedupCollapseOnTerminal(t *testing.T) {
 	roundTrip(Request{Op: OpCommit, Tx: "mob", Seq: 4})
 
 	srv.e.mu.Lock()
-	w := srv.e.dedups["mob"]
+	w := srv.e.txs["mob"].dedup
 	srv.e.mu.Unlock()
 	if w == nil {
 		t.Fatal("no dedup window for mob")

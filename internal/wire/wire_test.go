@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -490,6 +491,10 @@ func TestInvokeTimeoutOption(t *testing.T) {
 	}
 }
 
+// TestServerSweepForgetsTerminalTransactions: the sweep makes the engine
+// forget a finished transaction and keeps a live one. The GTM retires ids
+// by count alone, so the finished one's outcome stays answerable, and its
+// id taken, until core.TerminalRetention newer transactions have finished.
 func TestServerSweepForgetsTerminalTransactions(t *testing.T) {
 	srv, addr := newTestServer(t)
 	cn, err := Dial(addr)
@@ -510,19 +515,40 @@ func TestServerSweepForgetsTerminalTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed := srv.Sweep(0) // everything terminal, however recent
+	removed := srv.Sweep(0) // everything finished, however recent
 	if len(removed) != 1 || removed[0] != "done" {
 		t.Fatalf("removed = %v", removed)
 	}
-	// The live transaction survives; the terminal one is gone.
+	// The live transaction survives; the engine forgot the finished one.
 	if _, err := cn.State("live"); err != nil {
 		t.Errorf("live transaction swept: %v", err)
 	}
-	if _, err := cn.State("done"); err == nil {
-		t.Error("terminal transaction still known after sweep")
+	if srv.Engine().Knows("done") {
+		t.Error("finished transaction still held after sweep")
 	}
-	// Its id is reusable.
+	if err := cn.Attach("done"); err == nil {
+		t.Error("attach to a swept transaction succeeded")
+	}
+	// Its outcome is answerable and its id taken until the GTM retires it.
+	if st, err := cn.State("done"); err != nil || st != "Committed" {
+		t.Fatalf("state after sweep = %q, %v; want Committed", st, err)
+	}
+	if err := cn.Begin("done"); err == nil {
+		t.Fatal("id reused before the GTM retired it")
+	}
+	filler := NewOwner("filler")
+	for i := 0; i < core.TerminalRetention; i++ {
+		f := fmt.Sprintf("f%d", i)
+		for _, op := range []Op{OpBegin, OpCommit} {
+			if resp := srv.Engine().Serve(&Request{Op: op, Tx: f}, filler); !resp.OK {
+				t.Fatalf("%s %s: %s", op, f, resp.Err)
+			}
+		}
+	}
+	if _, err := cn.State("done"); err == nil || !strings.Contains(err.Error(), "unknown transaction") {
+		t.Fatalf("state once the GTM retired the id: %v, want unknown transaction", err)
+	}
 	if err := cn.Begin("done"); err != nil {
-		t.Errorf("id not reusable after sweep: %v", err)
+		t.Errorf("id not reusable once the GTM retired it: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"preserial/internal/sem"
 )
@@ -219,4 +220,60 @@ func BenchmarkSelectIndexedVsScan(b *testing.B) {
 			tx.Rollback()
 		}
 	})
+}
+
+// BenchmarkTxBulkInsert measures one transaction of n inserts on the mem
+// store, then its commit, in ns per insert: flat in n when a write's
+// lookup of the transaction's own earlier writes costs O(1).
+func BenchmarkTxBulkInsert(b *testing.B) {
+	ctx := context.Background()
+	row := Row{"FreeTickets": sem.Int(1000), "Price": sem.Float(99), "Carrier": sem.Str("AZ")}
+	for _, n := range []int{1 << 10, 4 << 10, 16 << 10, 64 << 10} {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("F%06d", i)
+		}
+		b.Run(fmt.Sprintf("%dk", n>>10), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db := Open(Options{})
+				if err := db.CreateTable(testSchema()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				tx := db.Begin()
+				for _, k := range keys {
+					if err := tx.Insert(ctx, "Flight", k, row); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tx.Commit(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
+		})
+	}
+}
+
+// BenchmarkReplHubNext measures a sender's read of the newest segment
+// with 1k, 10k and 40k retained 200-byte segments (40k fill the default
+// 8 MiB window): the cost of finding the cursor in the window.
+func BenchmarkReplHubNext(b *testing.B) {
+	data := make([]byte, 200)
+	for _, n := range []int{1 << 10, 10 << 10, 40 << 10} {
+		b.Run(fmt.Sprintf("%dk", n>>10), func(b *testing.B) {
+			h := newReplHub(n*len(data), false, time.Second)
+			for lsn := uint64(1); lsn <= uint64(n); lsn++ {
+				h.publish(data, lsn, lsn)
+			}
+			c := &replCursor{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out, _, err := h.next(c, uint64(n-1)); err != nil || len(out) != len(data) {
+					b.Fatalf("%d bytes, %v", len(out), err)
+				}
+			}
+		})
+	}
 }

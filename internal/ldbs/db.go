@@ -188,13 +188,51 @@ type writeOp struct {
 	row    Row
 }
 
+// overlay applies one buffered write to a row's state (nil if
+// deleted/absent); base must already be a private copy.
+func (w *writeOp) overlay(base Row, exists bool) (Row, bool) {
+	switch w.typ {
+	case recUpsertRow:
+		return w.row.clone(), true
+	case recDeleteRow:
+		return nil, false
+	case recSetCol:
+		if !exists {
+			return base, false // write to a row deleted earlier in this tx
+		}
+		if base == nil {
+			base = make(Row)
+		}
+		base[w.column] = w.value
+	}
+	return base, exists
+}
+
+// rowKey names one row of one table.
+type rowKey struct{ table, key string }
+
+// rowWrites locates one row's buffered writes: the indexes into Tx.writes
+// of its first and last write, with Tx.next chaining the ones between.
+type rowWrites struct{ first, last int }
+
+// txIndexMin is the write-set size at which a transaction starts finding
+// its buffered writes by row. Below it a scan of the write set is cheaper
+// than a map, and the one-write SST allocates nothing for the index.
+const txIndexMin = 16
+
 // Tx is a database transaction. A Tx is not safe for concurrent use by
 // multiple goroutines (the usual contract for transaction handles).
 type Tx struct {
 	db     *DB
 	id     uint64
 	writes []writeOp
-	done   bool
+	// rows and next index writes by row once there are txIndexMin of them
+	// (both nil before); next[i] is the index of the same row's write
+	// after writes[i] (-1: none). A lookup then costs O(writes to that
+	// row), so a bulk load is linear in its size.
+	rows map[rowKey]rowWrites
+	next []int
+	done bool
 }
 
 // Begin starts a transaction.
@@ -239,31 +277,79 @@ func (tx *Tx) lockRow(ctx context.Context, table, key string, mode LockMode) err
 	return nil
 }
 
-// overlayRow applies tx's buffered writes for (table, key) to the committed
-// row (nil if deleted/absent). base must already be a private copy.
-func (tx *Tx) overlayRow(table, key string, base Row, exists bool) (Row, bool) {
-	for _, w := range tx.writes {
-		if w.table != table || w.key != key {
-			continue
-		}
-		switch w.typ {
-		case recUpsertRow:
-			base = w.row.clone()
-			exists = true
-		case recDeleteRow:
-			base = nil
-			exists = false
-		case recSetCol:
-			if !exists {
-				continue // write to a row deleted earlier in this tx
-			}
-			if base == nil {
-				base = make(Row)
-			}
-			base[w.column] = w.value
+// buffer appends one write to the write set. It is the only place that
+// does, so the row index always covers every write.
+func (tx *Tx) buffer(w writeOp) {
+	tx.writes = append(tx.writes, w)
+	switch {
+	case tx.rows != nil:
+		tx.indexWrite(len(tx.writes) - 1)
+	case len(tx.writes) == txIndexMin:
+		tx.rows = make(map[rowKey]rowWrites, 2*txIndexMin)
+		tx.next = make([]int, 0, cap(tx.writes))
+		for i := range tx.writes {
+			tx.indexWrite(i)
 		}
 	}
+}
+
+// indexWrite links writes[i], the newest indexed write, onto its row.
+func (tx *Tx) indexWrite(i int) {
+	k := rowKey{tx.writes[i].table, tx.writes[i].key}
+	tx.next = append(tx.next, -1)
+	rw, ok := tx.rows[k]
+	if ok {
+		tx.next[rw.last] = i
+		rw.last = i
+	} else {
+		rw = rowWrites{first: i, last: i}
+	}
+	tx.rows[k] = rw
+}
+
+// dropWrites discards the write set and its row index.
+func (tx *Tx) dropWrites() {
+	tx.writes, tx.rows, tx.next = nil, nil, nil
+}
+
+// overlayRow applies tx's buffered writes for (table, key), in order, to
+// the committed row (nil if deleted/absent). base must already be a
+// private copy.
+func (tx *Tx) overlayRow(table, key string, base Row, exists bool) (Row, bool) {
+	if tx.rows == nil {
+		for i := range tx.writes {
+			if w := &tx.writes[i]; w.table == table && w.key == key {
+				base, exists = w.overlay(base, exists)
+			}
+		}
+		return base, exists
+	}
+	rw, ok := tx.rows[rowKey{table, key}]
+	if !ok {
+		return base, exists
+	}
+	for i := rw.first; i >= 0; i = tx.next[i] {
+		base, exists = tx.writes[i].overlay(base, exists)
+	}
 	return base, exists
+}
+
+// writtenKeys calls fn with every key of table the transaction has
+// written. Without the row index a key written more than once repeats.
+func (tx *Tx) writtenKeys(table string, fn func(key string)) {
+	if tx.rows != nil {
+		for k := range tx.rows {
+			if k.table == table {
+				fn(k.key)
+			}
+		}
+		return
+	}
+	for i := range tx.writes {
+		if tx.writes[i].table == table {
+			fn(tx.writes[i].key)
+		}
+	}
 }
 
 // committedRow returns a copy of the committed row.
@@ -377,7 +463,7 @@ func (tx *Tx) Set(ctx context.Context, table, key, column string, v sem.Value) e
 	if _, exists = tx.overlayRow(table, key, base, exists); !exists {
 		return fmt.Errorf("%w: %s/%s", ErrNoRow, table, key)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: recSetCol, table: table, key: key, column: column, value: v})
+	tx.buffer(writeOp{typ: recSetCol, table: table, key: key, column: column, value: v})
 	return nil
 }
 
@@ -417,7 +503,7 @@ func (tx *Tx) Insert(ctx context.Context, table, key string, row Row) error {
 	if _, exists = tx.overlayRow(table, key, base, exists); exists {
 		return fmt.Errorf("%w: %s/%s", ErrRowExists, table, key)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: recUpsertRow, table: table, key: key, row: row.clone()})
+	tx.buffer(writeOp{typ: recUpsertRow, table: table, key: key, row: row.clone()})
 	return nil
 }
 
@@ -439,7 +525,7 @@ func (tx *Tx) Upsert(ctx context.Context, table, key string, row Row) error {
 	if err := tx.lockRow(ctx, table, key, LockX); err != nil {
 		return err
 	}
-	tx.writes = append(tx.writes, writeOp{typ: recUpsertRow, table: table, key: key, row: row.clone()})
+	tx.buffer(writeOp{typ: recUpsertRow, table: table, key: key, row: row.clone()})
 	return nil
 }
 
@@ -458,7 +544,7 @@ func (tx *Tx) Delete(ctx context.Context, table, key string) error {
 	if _, exists = tx.overlayRow(table, key, base, exists); !exists {
 		return fmt.Errorf("%w: %s/%s", ErrNoRow, table, key)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: recDeleteRow, table: table, key: key})
+	tx.buffer(writeOp{typ: recDeleteRow, table: table, key: key})
 	return nil
 }
 
@@ -492,27 +578,23 @@ func (tx *Tx) Scan(ctx context.Context, table string, visit func(key string, row
 		return err
 	}
 
-	// Include keys created by this transaction's own writes.
-	committed := make(map[string]bool, len(keys))
+	// Include keys created by this transaction's own writes; keys stays
+	// free of duplicates.
+	have := make(map[string]bool, len(keys))
 	for _, k := range keys {
-		committed[k] = true
+		have[k] = true
 	}
-	for _, w := range tx.writes {
-		if w.table == table && !committed[w.key] {
-			keys = append(keys, w.key)
-			committed[w.key] = true
+	tx.writtenKeys(table, func(k string) {
+		if !have[k] {
+			keys = append(keys, k)
+			have[k] = true
 		}
-	}
+	})
 	sort.Strings(keys)
-	seen := make(map[string]bool, len(keys))
 	// Phase 2: read row by row, overlaying the private write set. Reading
 	// per key (rather than snapshotting every row up front) keeps memory
 	// bounded when the table lives on disk and dwarfs RAM.
 	for _, k := range keys {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		base, exists, err := tx.db.committedRow(table, k)
 		if err != nil {
 			return err
@@ -544,6 +626,7 @@ func (tx *Tx) Commit(ctx context.Context) error {
 	tx.done = true
 	db := tx.db
 	commitLSN, err := tx.commitLocked()
+	tx.dropWrites()
 	if err != nil {
 		return err
 	}
@@ -611,7 +694,7 @@ func (tx *Tx) commitLocked() (uint64, error) {
 // abort rolls the transaction back internally (write set discarded).
 func (db *DB) abort(tx *Tx) {
 	db.locks.ReleaseAll(tx.id)
-	tx.writes = nil
+	tx.dropWrites()
 	db.aborted.Add(1)
 }
 

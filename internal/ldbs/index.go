@@ -190,12 +190,12 @@ func (tx *Tx) SelectIndexed(ctx context.Context, q Query) ([]KeyRow, error) {
 	for _, k := range candidates {
 		seen[k] = true
 	}
-	for _, w := range tx.writes {
-		if w.table == q.Table && !seen[w.key] {
-			candidates = append(candidates, w.key)
-			seen[w.key] = true
+	tx.writtenKeys(q.Table, func(k string) {
+		if !seen[k] {
+			candidates = append(candidates, k)
+			seen[k] = true
 		}
-	}
+	})
 	sort.Strings(candidates)
 
 	var out []KeyRow

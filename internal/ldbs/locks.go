@@ -369,10 +369,14 @@ func (lm *lockManager) ReleaseAll(tx uint64) {
 		touched[res] = true
 	}
 	delete(lm.queued, tx)
+	// With tx out of every queue, a dispatch can only grant other
+	// transactions' waiters, so each held resource is dispatched as it is
+	// released rather than collected first (a bulk transaction holds one
+	// lock per row it wrote).
 	for res := range lm.held[tx] {
 		if st := lm.locks[res]; st != nil {
 			delete(st.holders, tx)
-			touched[res] = true
+			lm.dispatchLocked(st, res)
 		}
 	}
 	delete(lm.held, tx)

@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -300,6 +301,20 @@ func (h *replHub) publish(data []byte, firstLSN, lastLSN uint64) {
 	h.cond.Broadcast()
 }
 
+// segAfter returns the index of the first retained segment that starts
+// after lsn (len(segs): none). Segments are published in LSN order and
+// trimmed from the front, so a binary search finds it; caller holds mu.
+func (h *replHub) segAfter(lsn uint64) int {
+	return sort.Search(len(h.segs), func(i int) bool { return h.segs[i].firstLSN > lsn })
+}
+
+// segThrough returns the number of retained segments that end at or
+// before lsn, which is also the index of the first one that ends after
+// it; caller holds mu.
+func (h *replHub) segThrough(lsn uint64) int {
+	return sort.Search(len(h.segs), func(i int) bool { return h.segs[i].lastLSN > lsn })
+}
+
 // has reports whether a follower at cursor can resume incrementally.
 func (h *replHub) has(cursor uint64) bool {
 	h.mu.Lock()
@@ -324,17 +339,13 @@ func (h *replHub) next(c *replCursor, after uint64) ([]byte, uint64, error) {
 		if after < h.baseLSN {
 			return nil, 0, ErrReplLagged
 		}
-		var out []byte
-		end := after
-		for _, s := range h.segs {
-			if s.firstLSN <= after {
-				continue
+		if i := h.segAfter(after); i < len(h.segs) {
+			first := h.segs[i].endOffset - uint64(len(h.segs[i].data))
+			out := make([]byte, 0, h.pubBytes-first)
+			for _, s := range h.segs[i:] {
+				out = append(out, s.data...)
 			}
-			out = append(out, s.data...)
-			end = s.lastLSN
-		}
-		if len(out) > 0 {
-			return out, end, nil
+			return out, h.segs[len(h.segs)-1].lastLSN, nil
 		}
 		h.cond.Wait()
 	}
@@ -379,12 +390,8 @@ func (h *replHub) ack(lsn uint64) {
 	if lsn >= h.endLSN {
 		h.ackedOff = h.pubBytes
 		h.degraded = false // follower caught up: re-arm semi-sync
-	} else {
-		for _, s := range h.segs {
-			if s.lastLSN <= lsn && s.endOffset > h.ackedOff {
-				h.ackedOff = s.endOffset
-			}
-		}
+	} else if i := h.segThrough(lsn); i > 0 && h.segs[i-1].endOffset > h.ackedOff {
+		h.ackedOff = h.segs[i-1].endOffset
 	}
 	for w := range h.waiters {
 		if w.lsn <= lsn {
@@ -451,11 +458,8 @@ func (h *replHub) lag() (bytes uint64, seconds float64) {
 		return 0, 0
 	}
 	bytes = h.pubBytes - h.ackedOff
-	for _, s := range h.segs {
-		if s.lastLSN > h.ackedLSN {
-			seconds = time.Since(s.at).Seconds()
-			break
-		}
+	if i := h.segThrough(h.ackedLSN); i < len(h.segs) {
+		seconds = time.Since(h.segs[i].at).Seconds()
 	}
 	return bytes, seconds
 }

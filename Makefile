@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadMsg -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzReadReplMsg -fuzztime=30s ./internal/ldbs
 	$(GO) test -fuzz=FuzzTxWriteSet -fuzztime=30s ./internal/ldbs
+	$(GO) test -fuzz=FuzzPageCodec -fuzztime=30s ./internal/ldbs/store/disk
 
 # Start gtmd with diagnostics, drive a short workload, scrape /metrics and
 # the event trace, then shut down (see docs/OBSERVABILITY.md).

@@ -93,6 +93,11 @@ const (
 	sstQueueDepth = 64
 	// traceDepth is the capacity of the GTM event ring behind /debug/trace.
 	traceDepth = 4096
+	// defaultMaxSessions caps the gateway's session table. A parked session
+	// that owns no live transaction holds about 165 bytes of heap (the
+	// gateway's TestParkedSessionHeap measures it, with a 192-byte budget),
+	// so 2^20 of them stay under 192 MiB; docs/GATEWAY.md plans with it.
+	defaultMaxSessions = 1 << 20
 )
 
 // config carries the parsed flags shared by every mode.
@@ -143,7 +148,7 @@ func main() {
 	shardIndex := flag.Int("shard-index", -1, "host only this ring position of -shards, as one participant of a multi-process cluster (-1: host every shard)")
 	route := flag.String("route", "", "comma-separated participant addresses; serve as a stateless router/coordinator over them")
 	var gw gateway.Options
-	flag.IntVar(&gw.MaxSessions, "gw-max-sessions", 0, "session-table cap, bound + parked (0: unlimited)")
+	flag.IntVar(&gw.MaxSessions, "gw-max-sessions", defaultMaxSessions, "session-table cap, bound + parked; the default holds under 192 MiB of idle parked sessions (0: unlimited)")
 	flag.Float64Var(&gw.Rate, "gw-rate", 0, "global admission rate, transaction begins per second (0: unlimited)")
 	flag.Float64Var(&gw.Burst, "gw-burst", 0, "global admission burst (0: same as -gw-rate)")
 	flag.Float64Var(&gw.TenantRate, "gw-tenant-rate", 0, "per-tenant admission rate, begins per second (0: no per-tenant limiting)")

@@ -517,3 +517,24 @@ func TestGTMDRemovedFlagsStayRemoved(t *testing.T) {
 		})
 	}
 }
+
+// TestGTMDSessionCapDefault: gtmd caps its session table by default, and
+// docs/GATEWAY.md's knob table states that cap.
+func TestGTMDSessionCapDefault(t *testing.T) {
+	if defaultMaxSessions <= 0 {
+		t.Fatalf("-gw-max-sessions defaults to %d: an unlimited session table", defaultMaxSessions)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "GATEWAY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "| `-gw-max-sessions` |") {
+			if want := strconv.Itoa(defaultMaxSessions); !strings.Contains(line, want) {
+				t.Fatalf("docs/GATEWAY.md states %q, want the default %s", line, want)
+			}
+			return
+		}
+	}
+	t.Fatal("docs/GATEWAY.md has no -gw-max-sessions row")
+}

@@ -260,11 +260,11 @@ func (s *Server) ParkedBytes() int64 {
 // returns how many it reaped. The retention loop calls it periodically;
 // operators and tests may call it directly.
 func (s *Server) ExpireParked(olderThan time.Duration) int {
-	cutoff := s.now().Add(-olderThan)
+	cutoff := s.now().Add(-olderThan).UnixNano()
 	s.mu.Lock()
 	var n int
 	for id, sess := range s.sessions {
-		if sess.conn == nil && sess.lastSeen.Before(cutoff) {
+		if sess.conn == nil && sess.lastSeen < cutoff {
 			delete(s.sessions, id)
 			s.parked--
 			s.parkedBytes -= sess.chargedBytes
@@ -437,7 +437,7 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 			s.mu.Unlock()
 			return s.rejected("sessions", 0)
 		}
-		sess = &session{id: req.Session, tenant: req.Tenant, conn: c, lastSeen: s.now()}
+		sess = &session{id: req.Session, tenant: req.Tenant, conn: c, lastSeen: s.now().UnixNano()}
 		sess.owner = wire.NewOwner(sess)
 		s.sessions[sess.id] = sess
 		s.mu.Unlock()
@@ -462,7 +462,7 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 		sess.chargedBytes = 0
 	}
 	sess.conn = c
-	sess.lastSeen = s.now()
+	sess.lastSeen = s.now().UnixNano()
 	s.mu.Unlock()
 	if old != nil && old != c {
 		old.unbind(sess.id) // takeover: latest attach wins
@@ -517,7 +517,7 @@ func (s *Server) park(c *gwConn, sess *session, cause string) {
 		return
 	}
 	sess.conn = nil
-	sess.lastSeen = s.now()
+	sess.lastSeen = s.now().UnixNano()
 	s.e.DisconnectOwner(sess.owner)
 	s.parked++
 	sess.chargedBytes = sess.footprint()

@@ -1,19 +1,19 @@
 package gateway
 
-import (
-	"time"
+import "preserial/internal/wire"
 
-	"preserial/internal/wire"
-)
-
-// Per-session footprint model for the gw_parked_session_bytes gauge. The
-// numbers approximate the Go heap cost of one parked entry: the session
-// struct + table slot, and one owned-set slot per transaction id. They are
+// Per-session footprint model for the gw_parked_session_bytes gauge,
+// calibrated against the Go heap by TestParkedSessionHeap: a parked
+// session that owns nothing (idle, or its transactions finished) costs its
+// struct, its Owner, its id and its sessions-map slot, about 165 bytes in
+// all; each transaction it owns while parked (asleep in the GTM) adds a
+// one-entry owned set. The sleeping transaction's own state in the
+// engine and the GTM, some 1.5 KB, is left out. The numbers are
 // deliberately round — the gauge answers "what does a million parked
 // clients cost" capacity questions, not heap-profiler ones.
 const (
-	sessionBaseBytes = 192 // session struct + sessions-map slot + Owner
-	ownedEntryBytes  = 48  // one owned-set map slot
+	sessionBaseBytes = 150 // session struct + Owner + sessions-map slot
+	ownedEntryBytes  = 240 // owned-set map: header and the slot group
 )
 
 // session is one logical client in the gateway's session table.
@@ -38,7 +38,7 @@ type session struct {
 	// races resolve by conn identity: park only proceeds while the session
 	// is still bound to the connection asking to park it.
 	conn     *gwConn
-	lastSeen time.Time // last attach/detach/park; drives parked reaping
+	lastSeen int64 // Unix ns of the last attach/detach/park; drives parked reaping
 
 	// chargedBytes is the footprint added to the server's parked-bytes
 	// gauge when this session parked, and the exact amount credited back

@@ -169,6 +169,9 @@ func (db *DB) indexedLookup(q Query) (keys []string, ok bool) {
 // applicable index it falls back to Select. The transaction's own writes
 // are honored in both paths.
 func (tx *Tx) SelectIndexed(ctx context.Context, q Query) ([]KeyRow, error) {
+	if err := tx.check(); err != nil {
+		return nil, err
+	}
 	s, err := tx.db.Schema(q.Table)
 	if err != nil {
 		return nil, err

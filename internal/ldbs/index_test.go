@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"preserial/internal/sem"
 )
@@ -169,6 +170,33 @@ func TestSelectIndexedSeesOwnWrites(t *testing.T) {
 		if kr.Key == "F0" {
 			t.Error("F0 moved to CX in this tx; index path returned stale match")
 		}
+	}
+}
+
+// TestSelectIndexedAfterCommitTakesNoLock: SelectIndexed on a finished
+// transaction fails with ErrTxDone. It used to succeed and take a table S
+// lock for the finished id that nothing released, so every later writer to
+// the table blocked until its context ended.
+func TestSelectIndexedAfterCommitTakesNoLock(t *testing.T) {
+	db := newFlightDB(t)
+	if err := db.CreateIndex("Flight", "Carrier"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tx := db.Begin()
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Table: "Flight", Where: []Pred{{Column: "Carrier", Op: CmpEQ, Value: sem.Str("C0")}}}
+	if _, err := tx.SelectIndexed(ctx, q); !errors.Is(err, ErrTxDone) {
+		t.Errorf("SelectIndexed after Commit = %v, want ErrTxDone", err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	w := db.Begin()
+	defer w.Rollback()
+	if err := w.Set(wctx, "Flight", "F0", "FreeTickets", sem.Int(7)); err != nil {
+		t.Fatalf("a writer after the finished transaction's SelectIndexed: %v", err)
 	}
 }
 

@@ -166,6 +166,9 @@ func decodePage(pageNo uint32, buf []byte) (*node, error) {
 	n := &node{pageNo: pageNo, typ: buf[4]}
 	count := int(binary.BigEndian.Uint16(buf[6:8]))
 	aux := binary.BigEndian.Uint32(buf[8:12])
+	if n.typ != pageOverflow && pageHdrSize+2*count > len(buf) {
+		return nil, fmt.Errorf("%w: page %d slot directory of %d cells exceeds page", store.ErrCorrupt, pageNo, count)
+	}
 	cell := func(i int) ([]byte, error) {
 		off := int(binary.BigEndian.Uint16(buf[pageHdrSize+2*i:]))
 		if off < pageHdrSize+2*count || off >= len(buf) {

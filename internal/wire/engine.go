@@ -26,14 +26,17 @@ import (
 type Owner struct {
 	key any // identity token; two Owners are the same iff keys are ==
 
-	mu    sync.Mutex      // one owner's transactions may run on concurrent handlers
-	owned map[string]bool // live transactions begun or attached by this owner
+	mu sync.Mutex // one owner's transactions may run on concurrent handlers
+	// owned holds the live transactions begun or attached by this owner.
+	// It is nil until the first one: most parked gateway sessions own
+	// nothing, and DisconnectOwner gives an emptied set back.
+	owned map[string]bool
 }
 
 // NewOwner creates an owner identified by key. The key must be comparable
 // and unique per owner (the conn, the session struct pointer, …).
 func NewOwner(key any) *Owner {
-	return &Owner{key: key, owned: make(map[string]bool)}
+	return &Owner{key: key}
 }
 
 // Owned lists the transaction ids this owner has begun or attached that
@@ -61,7 +64,23 @@ func (o *Owner) Forget(tx string) {
 // remember adds tx to the owned set.
 func (o *Owner) remember(tx string) {
 	o.mu.Lock()
+	if o.owned == nil {
+		o.owned = make(map[string]bool)
+	}
 	o.owned[tx] = true
+	o.mu.Unlock()
+}
+
+// release gives back the owned set's storage if nothing is left in it. A
+// map keeps its buckets when emptied, so a finished transaction would
+// otherwise cost a parked owner a map for good. A connected owner keeps
+// its set across transactions instead: that path allocates nothing per
+// transaction.
+func (o *Owner) release() {
+	o.mu.Lock()
+	if len(o.owned) == 0 {
+		o.owned = nil
+	}
 	o.mu.Unlock()
 }
 
@@ -484,8 +503,10 @@ func (e *Engine) Adopt(tx string, owner *Owner) {
 // ended is finished. A transaction whose ownership has moved to a newer
 // owner (the client re-attached before this teardown ran) is left alone —
 // without this check the dying owner would put a freshly re-attached
-// transaction back to sleep under its new owner.
+// transaction back to sleep under its new owner. An owner left with
+// nothing live gives back its owned set.
 func (e *Engine) DisconnectOwner(owner *Owner) {
+	defer owner.release()
 	for _, id := range owner.Owned() {
 		e.mu.Lock()
 		ent := e.txs[id]

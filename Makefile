@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadReplMsg -fuzztime=30s ./internal/ldbs
 	$(GO) test -fuzz=FuzzTxWriteSet -fuzztime=30s ./internal/ldbs
 	$(GO) test -fuzz=FuzzPageCodec -fuzztime=30s ./internal/ldbs/store/disk
+	$(GO) test -fuzz=FuzzAwakeVerdict -fuzztime=30s -fuzzminimizetime=1s ./internal/core
 
 # Start gtmd with diagnostics, drive a short workload, scrape /metrics and
 # the event trace, then shut down (see docs/OBSERVABILITY.md).

@@ -126,64 +126,6 @@ func TestAwakeChecksOnlyRelevantCommits(t *testing.T) {
 	}
 }
 
-// TestHistoryPruning: committed history shrinks once no sleeper needs it.
-func TestHistoryPruning(t *testing.T) {
-	m, _, clk := testManager(t)
-	// Three commits with no sleepers: history prunes to the commit head.
-	for _, id := range []TxID{"a", "b", "c"} {
-		mustBegin(t, m, id)
-		mustInvoke(t, m, id, "X", addOp)
-		_ = m.Apply(id, "X", sem.Int(1))
-		clk.Advance(time.Second)
-		if err := m.RequestCommit(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, _ := m.ObjectInfo("X")
-	if info.Committed > 1 {
-		t.Errorf("history not pruned: %d entries", info.Committed)
-	}
-
-	// With a sleeper, history from its sleep time onward is retained.
-	mustBegin(t, m, "sleeper")
-	mustInvoke(t, m, "sleeper", "X", addOp)
-	if err := m.Sleep("sleeper"); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []TxID{"d", "e"} {
-		mustBegin(t, m, id)
-		mustInvoke(t, m, id, "X", addOp)
-		_ = m.Apply(id, "X", sem.Int(1))
-		clk.Advance(time.Second)
-		if err := m.RequestCommit(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, _ = m.ObjectInfo("X")
-	if info.Committed < 2 {
-		t.Errorf("history over-pruned while a sleeper is live: %d entries", info.Committed)
-	}
-}
-
-// TestFullHistoryOptionKeepsEverything: WithFullHistory disables pruning.
-func TestFullHistoryOptionKeepsEverything(t *testing.T) {
-	m, _, clk := testManager(t, WithFullHistory())
-	for i, id := range []TxID{"a", "b", "c", "d"} {
-		_ = i
-		mustBegin(t, m, id)
-		mustInvoke(t, m, id, "X", addOp)
-		_ = m.Apply(id, "X", sem.Int(1))
-		clk.Advance(time.Minute)
-		if err := m.RequestCommit(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, _ := m.ObjectInfo("X")
-	if info.Committed != 4 {
-		t.Errorf("full history kept %d entries, want 4", info.Committed)
-	}
-}
-
 // TestWaiterCapDoesNotBlockFirstHolder: the starvation cap only defers
 // compatible *joins*; the first holder is always admitted.
 func TestWaiterCapDoesNotBlockFirstHolder(t *testing.T) {

@@ -51,11 +51,11 @@ func commitOn(tb testing.TB, m *Manager, id TxID, obj ObjectID, op sem.Op) {
 	}
 }
 
-// TestFrozenClockSleepConflict: history is pruned and awake validation
-// decides by commit sequence alone. On a clock that never moves, the commit
-// that precedes the sleep and the N incompatible ones that follow it carry
-// the same timestamp; the sleeper must still abort, and the record from
-// before its sleep must not be what aborts it.
+// TestFrozenClockSleepConflict: awake validation does not read the clock.
+// On a clock that never moves, the commit that precedes the sleep and the
+// N incompatible ones that follow it carry the same timestamp; the sleeper
+// must still abort, and the commit from before its sleep must not be what
+// aborts it.
 func TestFrozenClockSleepConflict(t *testing.T) {
 	m, _, _ := testManager(t) // clock.Manual: frozen unless advanced
 	commitOn(t, m, "before", "X", assignOp)
@@ -84,29 +84,26 @@ func TestFrozenClockSleepConflict(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		commitOn(t, m, TxID(fmt.Sprintf("w%d", i)), "X", assignOp)
 	}
-	info, err := m.ObjectInfo("X")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Committed != 8 {
-		t.Fatalf("X retains %d history records, want the 8 committed since S went to sleep", info.Committed)
-	}
 	if resumed, err := m.Awake("S"); err != nil || resumed {
 		t.Fatalf("Awake(S) = %v, %v: incompatible operations committed during its sleep", resumed, err)
 	}
-	// With the last sleeper gone the next publish prunes to the head.
-	commitOn(t, m, "after", "X", addOp)
-	if info, _ := m.ObjectInfo("X"); info.Committed != 0 {
-		t.Fatalf("X retains %d history records with nobody asleep", info.Committed)
+	// The first incompatible commit after the sleep is the one blamed.
+	info, err := m.TxInfo("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doom *DoomError
+	if !errors.As(info.Err, &doom) || doom.By != "w0" {
+		t.Fatalf("S's abort cause is %v, want a doom by w0", info.Err)
 	}
 }
 
-// TestPublishCostFlat: the GC horizon is read off the front of the sleeper
-// arrival queue and pruning follows the horizon queue, so a commit costs
-// the same beside 10 sleepers as beside 100 000, and among 1 024 registered
-// objects as among 65 536. (With the per-publish scans of sleepers, objects
-// and chains, the larger figure of each pair was two to three orders of
-// magnitude above the smaller.)
+// TestPublishCostFlat: sleepers play no part in the GC horizon and pruning
+// follows the horizon queue, so a commit costs the same beside 10 sleepers
+// as beside 100 000, and among 1 024 registered objects as among 65 536.
+// (With the per-publish scans of sleepers, objects and chains, the larger
+// figure of each pair was two to three orders of magnitude above the
+// smaller.)
 func TestPublishCostFlat(t *testing.T) {
 	perCommit := func(objects, sleepers int) time.Duration {
 		m := virtualManager(t, objects)
@@ -142,31 +139,25 @@ func TestPublishCostFlat(t *testing.T) {
 	flat("object count, 1024 vs 65536", perCommit(1<<10, 0), perCommit(1<<16, 0))
 }
 
-// TestGCDrainBounded: when a long sleeper's wake-up makes a large backlog
-// due at once, each publish retires a bounded batch of it, and the backlog
-// is gone a bounded number of commits later.
+// TestGCDrainBounded: when closing a long-lived snapshot makes a large
+// backlog due at once, each publish retires a bounded batch of it, and the
+// backlog is gone a bounded number of commits later.
 func TestGCDrainBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := virtualManager(t, 2, WithObservability(NewObservability(reg, 0)))
-	mustBegin(t, m, "S")
-	mustInvoke(t, m, "S", "o0", addOp)
-	if err := m.Sleep("S"); err != nil {
-		t.Fatal(err)
-	}
+	pinned := m.BeginSnapshot()
 	const backlog = 1000
 	for i := 0; i < backlog; i++ {
 		commitOn(t, m, TxID(fmt.Sprintf("c%d", i)), "o1", addOp)
 	}
 	depth := func() int { return int(reg.Snapshot()[obs.NameGCQueueDepth]) }
 	if depth() != backlog {
-		t.Fatalf("queue depth %d behind a sleeper, want %d", depth(), backlog)
+		t.Fatalf("queue depth %d behind an open snapshot, want %d", depth(), backlog)
 	}
 	if lag := reg.Snapshot()[obs.NameMVCCGCHorizonLag]; lag != backlog {
 		t.Fatalf("horizon lag %d, want %d", lag, backlog)
 	}
-	if resumed, err := m.Awake("S"); err != nil || !resumed {
-		t.Fatalf("Awake = %v, %v", resumed, err)
-	}
+	pinned.Close()
 	perPublish := gcBatch + 2 // one entry pushed, so budget gcBatch+2
 	for n := 1; depth() > 0; n++ {
 		before := depth()
@@ -178,47 +169,27 @@ func TestGCDrainBounded(t *testing.T) {
 			t.Fatalf("backlog of %d not worked off after %d commits (depth %d)", backlog, n, depth())
 		}
 	}
-	if info, _ := m.ObjectInfo("o1"); info.Committed != 0 {
-		t.Fatalf("o1 retains %d history records after the drain", info.Committed)
+	if chains, _, _ := retainedState(m, []ObjectID{"o1"}, 0); len(chains["o1"]) != 1 {
+		t.Fatalf("o1's chain holds versions %v after the drain, want only the newest", chains["o1"])
 	}
 }
 
-// TestLazyArrivalListsStayBounded: sleepers and snapshots leave their
-// arrival queues lazily, at the front — so an entry that never leaves (a
-// long sleeper, a forgotten snapshot) must not let the churn behind it
-// accumulate.
+// TestLazyArrivalListsStayBounded: snapshots leave their arrival queue
+// lazily, at the front — so an entry that never leaves (a forgotten
+// snapshot) must not let the churn behind it accumulate.
 func TestLazyArrivalListsStayBounded(t *testing.T) {
 	m := virtualManager(t, 1)
-	mustBegin(t, m, "long")
-	mustInvoke(t, m, "long", "o0", addOp)
-	if err := m.Sleep("long"); err != nil {
-		t.Fatal(err)
-	}
 	pinned := m.BeginSnapshot()
 	defer pinned.Close()
 
-	mustBegin(t, m, "napper")
-	mustInvoke(t, m, "napper", "o0", addOp)
 	for i := 0; i < 10_000; i++ {
-		if err := m.Sleep("napper"); err != nil {
-			t.Fatal(err)
-		}
-		if resumed, err := m.Awake("napper"); err != nil || !resumed {
-			t.Fatalf("Awake = %v, %v", resumed, err)
-		}
 		if _, err := m.SnapshotRead("o0", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	defer m.mon.enter(m)()
-	if n := m.sleepQ.Len(); n > 2+2*lazySweepSlack {
-		t.Fatalf("sleeper queue holds %d entries for 1 sleeper", n)
-	}
 	if n := m.mvcc.snapQ.Len(); n > 2+2*lazySweepSlack {
 		t.Fatalf("snapshot queue holds %d entries for 1 open snapshot", n)
-	}
-	if got := m.oldestSleepSeqLocked(); got != 0 {
-		t.Fatalf("oldest sleeper pins %d, want 0", got)
 	}
 }
 

@@ -19,7 +19,6 @@ type ObjectInfo struct {
 	Commiting []TxOp               // X_committing
 	Sleeping  []TxID               // X_sleeping
 	CommitQ   []TxID               // transactions queued for the committer slot
-	Committed int                  // retained X_committed history length
 }
 
 // TxOp pairs a transaction with its operation on an object.
@@ -40,7 +39,6 @@ func (m *Manager) ObjectInfo(id ObjectID) (ObjectInfo, error) {
 		Members:   make(map[string]sem.Value),
 		Pending:   []TxOp{},
 		Commiting: []TxOp{},
-		Committed: len(o.committed),
 	}
 	for mb := o.members.Load(); mb != nil; mb = mb.next {
 		if mb.known {

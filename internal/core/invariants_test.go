@@ -93,6 +93,10 @@ func checkInvariants(t *testing.T, m *Manager, step int) {
 		if tr.state.Terminal() != (tr.txLive == nil) {
 			t.Fatalf("step %d: I6: %s is %s with live state present=%v", step, id, tr.state, tr.txLive != nil)
 		}
+		// I7: only a sleeper is doomed; its awake aborts.
+		if tr.txLive != nil && tr.doomedBy != "" && tr.state != StateSleeping {
+			t.Fatalf("step %d: I7: %s is %s but doomed by %s", step, id, tr.state, tr.doomedBy)
+		}
 		switch tr.state {
 		case StateCommitted, StateAborted:
 			for _, o := range m.objs.all {

@@ -53,21 +53,13 @@ type Manager struct {
 	terminal fifo.Queue[*transaction]
 	retained int
 
-	// sleepQ lists sleepers in the order they went to sleep. A_tsleep's
-	// commit sequence is monotone along it, so the oldest live sleeper —
-	// the only one the GC horizon needs — is the first entry that is still
-	// current; stale entries (awakened, aborted, slept again) are dropped
-	// when they reach the front. sleeping counts the live ones.
-	sleepQ   fifo.Queue[sleepEntry]
-	sleeping int
-
-	// gcq is the horizon queue: one entry per committed per-object
-	// operation, in commit-sequence order (see pruneHistoriesLocked).
+	// gcq is the horizon queue: one entry per committed update, in
+	// commit-sequence order (see pruneVersionsLocked).
 	gcq fifo.Queue[gcEntry]
 
 	stats     Stats
 	history   [][]HistoryEntry // chunks of historyChunk entries; only the last is short
-	commitSeq uint64           // global commit sequence (see commitRecord.seq)
+	commitSeq uint64           // global commit sequence: version stamps and snapshot pins
 }
 
 // TerminalRetention bounds the registry: the most recent TerminalRetention
@@ -87,26 +79,14 @@ const (
 )
 
 // gcBatch bounds the horizon-queue entries one publish retires beyond twice
-// its own, so the backlog released by one long sleeper's wake-up is worked
-// off over the following commits rather than in one critical section.
+// its own, so the backlog released by closing one long-lived snapshot is
+// worked off over the following commits rather than in one critical
+// section.
 const gcBatch = 64
 
-// sleepEntry is one arrival in Manager.sleepQ: t's sleep that was the
-// manager's nth. It is current while that sleep lasts.
-type sleepEntry struct {
-	t   *transaction
-	nth uint64
-}
-
-func (e sleepEntry) current() bool {
-	return e.t.state == StateSleeping && e.t.sleepNth == e.nth
-}
-
-// gcEntry is one horizon-queue element: object o gained a committed-history
-// record at seq and, for an update, member mb's chain a version (mb is nil
-// for read-class operations).
+// gcEntry is one horizon-queue element: member mb's chain gained a version
+// at seq.
 type gcEntry struct {
-	o   *object
 	mb  *member
 	seq uint64
 }
@@ -193,6 +173,10 @@ func (m *Manager) Objects() []ObjectID {
 // Active state.
 func (m *Manager) Begin(id TxID, opt ...TxOption) error {
 	defer m.mon.enter(m)()
+	if id == "" {
+		// An empty id would read as "not doomed" in txLive.doomedBy.
+		return fmt.Errorf("%w: empty transaction id", ErrBadState)
+	}
 	if _, ok := m.txs[id]; ok {
 		return fmt.Errorf("%w: %s", ErrTxExists, id)
 	}
@@ -671,9 +655,10 @@ func (m *Manager) completeSST(id TxID, locals []localWrite, sstErr error) {
 	m.publishLocked(t, locals)
 }
 
-// publishLocked installs the commit: X_permanent = X_new, history and X_tc
-// records, committer slots freed, waiters and queued committers
-// dispatched. Caller holds the monitor.
+// publishLocked installs the commit: X_permanent = X_new and the new
+// versions, the sleepers the commit conflicts with doomed, committer slots
+// freed, waiters and queued committers dispatched. Caller holds the
+// monitor.
 func (m *Manager) publishLocked(t *transaction, locals []localWrite) {
 	now := m.clk.Now()
 	m.commitSeq++
@@ -683,11 +668,9 @@ func (m *Manager) publishLocked(t *transaction, locals []localWrite) {
 			m.pushVersionLocked(lw.mb, lw.val, m.commitSeq)
 			lw.mb.perm = lw.val
 			lw.mb.known = true
+			m.gcq.Push(gcEntry{mb: lw.mb, seq: m.commitSeq})
 		}
-		o.committed = append(o.committed, commitRecord{tx: t.id, op: lw.op, seq: m.commitSeq})
-		if !m.opts.keepFullHistory {
-			m.gcq.Push(gcEntry{o: o, mb: lw.mb, seq: m.commitSeq})
-		}
+		m.doomSleepersLocked(o, t.id, lw.op)
 		if m.opts.recordHistory {
 			m.recordHistoryLocked(HistoryEntry{
 				Tx: t.id, Object: o.id, Op: lw.op, Read: lw.read, New: lw.val, TC: now,
@@ -707,9 +690,37 @@ func (m *Manager) publishLocked(t *transaction, locals []localWrite) {
 	}
 	m.notifyTxLocked(t, Event{Type: EvCommitted, Tx: t.id})
 	m.retireLocked(t)
-	m.pruneHistoriesLocked(gcBatch + 2*len(locals))
+	m.pruneVersionsLocked(gcBatch + 2*len(locals))
 	for _, lw := range locals {
 		m.dispatchLocked(lw.o)
+	}
+}
+
+// doomSleepersLocked is the commit-time half of Algorithm 9: by's op on o
+// has just committed, after A_tsleep of every transaction now sleeping on
+// o, so each of them whose op conflicts with it can no longer resume. A
+// sleeper sits in X_sleeping through its pending holder or, when its
+// invocation was still queued, through its wait entry. The conflict test
+// takes its arguments in sleepConflict's order. The first doom is the one
+// kept: it names the commit the awake's abort is blamed on.
+func (m *Manager) doomSleepersLocked(o *object, by TxID, op sem.Op) {
+	for i := range o.holders {
+		if h := &o.holders[i]; h.tx != by && h.flags&holdSleeping != 0 && o.conflict(h.op, op, o.deps) {
+			m.doomLocked(h.tx, by)
+		}
+	}
+	for _, w := range o.waiting {
+		if w.tx != by && w.sleeping && o.conflict(w.op, op, o.deps) {
+			m.doomLocked(w.tx, by)
+		}
+	}
+}
+
+// doomLocked marks the sleeper id doomed by the commit of by, unless an
+// earlier commit already did. A sleeper is live, so it is registered.
+func (m *Manager) doomLocked(id, by TxID) {
+	if t := m.txs[id]; t.doomedBy == "" {
+		t.doomedBy = by
 	}
 }
 
@@ -827,15 +838,7 @@ func (m *Manager) sleepLocked(t *transaction) error {
 	}
 	m.setStateLocked(t, StateSleeping)
 	t.tsleep = m.clk.Now()
-	t.sleepSeq = m.commitSeq
-	if m.sleepQ.Len() > 2*m.sleeping+lazySweepSlack {
-		// A long sleeper holds the front while shorter sleeps come and go
-		// behind it: sweep the stale entries before they pile up.
-		m.sleepQ.Filter(sleepEntry.current)
-	}
 	m.stats.Sleeps++
-	t.sleepNth = m.stats.Sleeps
-	m.sleepQ.Push(sleepEntry{t: t, nth: t.sleepNth})
 	if m.obs != nil {
 		m.obs.sleeps.Inc()
 	}
@@ -874,12 +877,14 @@ func (m *Manager) SleepAllLive() []TxID {
 }
 
 // Awake implements ⟨awake,X,A⟩ + ⟨awake,A⟩ (Algorithms 9–10). If no
-// incompatible transaction entered X_pending ∪ X_committing or committed
-// after A_tsleep on any object the sleeper touched, the transaction
-// resumes: queued invocations are granted directly (with fresh virtual
-// copies) and the state returns to Active (or Waiting when admission
-// policies still defer a queued invocation). Otherwise the transaction is
-// aborted with AbortSleepConflict and resumed=false is returned.
+// incompatible transaction committed after A_tsleep on any object the
+// sleeper touched (decided as that commit published: the transaction is
+// doomed) and none is now in X_pending ∪ X_committing there, the
+// transaction resumes: queued invocations are granted directly (with fresh
+// virtual copies) and the state returns to Active (or Waiting when
+// admission policies still defer a queued invocation). Otherwise the
+// transaction is aborted with AbortSleepConflict and resumed=false is
+// returned; a doomed one's TxInfo.Err is a *DoomError naming the commit.
 func (m *Manager) Awake(txID TxID) (resumed bool, err error) {
 	defer m.mon.enter(m)()
 	t, ok := m.txs[txID]
@@ -890,25 +895,30 @@ func (m *Manager) Awake(txID TxID) (resumed bool, err error) {
 		return false, fmt.Errorf("%w: %s is %s, awake requires Sleeping", ErrBadState, txID, t.state)
 	}
 
-	// Phase 1: the per-object conflict checks of Algorithm 9.
-	for _, o := range t.objects {
-		var op sem.Op
+	// Phase 1: the conflict checks of Algorithm 9. A commit during the
+	// sleep has already doomed the transaction; current holders are
+	// checked per object.
+	conflict := t.doomedBy != ""
+	for i := 0; !conflict && i < len(t.objects); i++ {
+		o := t.objects[i]
 		if h := o.pendingHolder(txID); h != nil {
-			op = h.op
+			conflict = o.sleepConflict(txID, h.op)
 		} else if w := o.waiterFor(txID); w != nil {
-			op = w.op
-		} else {
-			continue
+			conflict = o.sleepConflict(txID, w.op)
 		}
-		if o.sleepConflict(txID, op, t.sleepSeq) {
-			m.setStateLocked(t, StateAborting)
-			m.stats.AwakeAborts++
-			if m.obs != nil {
-				m.obs.awakesAborted.Inc()
-			}
-			m.finishAbortLocked(t, AbortSleepConflict, nil)
-			return false, nil
+	}
+	if conflict {
+		var cause error
+		if t.doomedBy != "" {
+			cause = &DoomError{By: t.doomedBy}
 		}
+		m.setStateLocked(t, StateAborting)
+		m.stats.AwakeAborts++
+		if m.obs != nil {
+			m.obs.awakesAborted.Inc()
+		}
+		m.finishAbortLocked(t, AbortSleepConflict, cause)
+		return false, nil
 	}
 
 	// Phase 2: resume. Queued invocations are granted directly with fresh
@@ -1084,11 +1094,6 @@ func (m *Manager) setStateLocked(t *transaction, to State) {
 	if t.state != to {
 		m.traceLocked("state", t, "", t.state, to, "")
 	}
-	if to == StateSleeping && t.state != StateSleeping {
-		m.sleeping++
-	} else if to != StateSleeping && t.state == StateSleeping {
-		m.sleeping--
-	}
 	t.state = to
 }
 
@@ -1101,49 +1106,27 @@ func (m *Manager) notifyTxLocked(t *transaction, ev Event) {
 	m.mon.queue(func() { fn(ev) })
 }
 
-// pruneHistoriesLocked retires horizon-queue entries that have come due, at
-// most budget of them. The GC horizon is the minimum of the commit head,
-// the oldest sleeper's A_tsleep sequence and the oldest open snapshot's
-// pin; it never moves backwards (a new sleeper or snapshot pins the current
-// head). An entry at or below it marks a committed-history record no awake
-// check can still ask about (sleepConflict admits only records after
-// A_tsleep) and a version no snapshot can still read past, so the object's
-// history prefix is trimmed and the member's chain truncated — work
-// proportional to what this commit and its predecessors published, never to
-// the number of registered objects.
-func (m *Manager) pruneHistoriesLocked(budget int) {
-	if m.opts.keepFullHistory {
-		return
-	}
-	horizon := min(m.commitSeq, m.oldestSleepSeqLocked(), m.oldestSnapshotPinLocked())
+// pruneVersionsLocked retires horizon-queue entries that have come due, at
+// most budget of them. The GC horizon is the commit head or, while a
+// snapshot is open, the oldest open snapshot's pin; it never moves
+// backwards (a new snapshot pins the current head). An entry at or below
+// it marks a version no snapshot can still read past, so the member's
+// chain is truncated — work proportional to what this commit and its
+// predecessors published, never to the number of registered objects.
+func (m *Manager) pruneVersionsLocked(budget int) {
+	horizon := min(m.commitSeq, m.oldestSnapshotPinLocked())
 	for ; budget > 0 && m.gcq.Len() > 0; budget-- {
 		e := m.gcq.Front()
 		if e.seq > horizon {
 			break
 		}
-		e.o.pruneCommitted(horizon)
-		if e.mb != nil {
-			m.gcVersionsLocked(e.mb, horizon)
-		}
+		m.gcVersionsLocked(e.mb, horizon)
 		m.gcq.Pop()
 	}
 	if m.obs != nil {
 		m.obs.mvccHorizonLag.Store(int64(m.commitSeq - horizon))
 		m.obs.gcQueueDepth.Store(int64(m.gcq.Len()))
 	}
-}
-
-// oldestSleepSeqLocked returns the A_tsleep commit sequence of the oldest
-// live sleeper — the first current entry of the arrival queue — or noPin
-// when nobody sleeps.
-func (m *Manager) oldestSleepSeqLocked() uint64 {
-	for m.sleepQ.Len() > 0 {
-		if e := m.sleepQ.Front(); e.current() {
-			return e.t.sleepSeq
-		}
-		m.sleepQ.Pop()
-	}
-	return noPin
 }
 
 // TxState returns the current state of a transaction.

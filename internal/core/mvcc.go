@@ -19,12 +19,12 @@ import (
 // transactions stop occupying object slots (and stop serializing behind
 // other transactions' SSTs) entirely.
 //
-// Version GC shares the horizon queue of the committed-history pruning
-// (pruneHistoriesLocked): every publish queues the chains it pushed onto,
-// and a chain is truncated when its entry falls to or below the GC horizon
-// — versions older than the newest one visible to the oldest live snapshot
-// (or sleeping transaction, via A_tsleep's commit sequence) are unlinked.
-// No publish ever walks the chains it did not touch.
+// Version GC runs off the horizon queue (pruneVersionsLocked): every
+// publish queues the chains it pushed onto, and a chain is truncated when
+// its entry falls to or below the GC horizon — versions older than the
+// newest one visible to the oldest open snapshot are unlinked. Sleepers do
+// not pin the horizon: Algorithm 9 is decided at commit, not by reading
+// back what committed. No publish ever walks the chains it did not touch.
 
 // versionNode is one committed value of an object member. Nodes are
 // immutable after publication; prev links to the next-older version and is
@@ -104,9 +104,9 @@ func (mv *mvccState) trimSnapshots() {
 	}
 }
 
-// lazySweepSlack is how many stale entries a lazily-trimmed arrival list
-// (open snapshots, sleepers) tolerates beyond twice its live population
-// before it is swept, which keeps the sweeps amortised O(1) per arrival.
+// lazySweepSlack is how many stale entries the lazily-trimmed arrival list
+// of open snapshots tolerates beyond twice its live population before it is
+// swept, which keeps the sweeps amortised O(1) per arrival.
 const lazySweepSlack = 64
 
 // oldestSnapshotPinLocked returns the pin of the oldest open snapshot —
@@ -148,7 +148,7 @@ func (m *Manager) pushVersionLocked(mb *member, val sem.Value, seq uint64) {
 }
 
 // gcVersionsLocked truncates one member's chain to the GC horizon — the
-// version-GC half of a horizon-queue entry coming due.
+// work of a horizon-queue entry coming due.
 func (m *Manager) gcVersionsLocked(mb *member, horizon uint64) {
 	if dropped := mb.ch.truncate(horizon); dropped > 0 && m.obs != nil {
 		m.obs.mvccGCed.Add(dropped)

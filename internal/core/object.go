@@ -19,16 +19,6 @@ type waitEntry struct {
 	sleeping bool
 }
 
-// commitRecord is one element of X_committed. X_tc is the manager-wide
-// commit sequence, not a timestamp: virtual clocks make simultaneous events
-// common, so "committed after A_tsleep" is decided — and the record pruned
-// — by sequence alone.
-type commitRecord struct {
-	tx  TxID
-	op  sem.Op
-	seq uint64
-}
-
 // holderFlags places a holder in the paper's per-object transaction sets.
 type holderFlags uint8
 
@@ -84,9 +74,10 @@ type member struct {
 
 // object carries the per-object state of Section IV: the members with their
 // X_permanent mirrors, the holders (pending, committing and sleeping sets
-// with their read/temp/new values), the wait queue and the committed
-// history. Everything but the member list is guarded by the Manager's
-// monitor.
+// with their read/temp/new values) and the wait queue. X_committed is not
+// kept: a commit dooms the sleepers it conflicts with as it publishes
+// (Manager.doomSleepersLocked), so no later check asks what committed.
+// Everything but the member list is guarded by the Manager's monitor.
 type object struct {
 	id       ObjectID
 	conflict ConflictFunc
@@ -98,10 +89,9 @@ type object struct {
 	// walk it.
 	members atomic.Pointer[member]
 
-	holders   []holder       // X_pending ∪ X_committing ∪ released reads
-	waiting   []*waitEntry   // X_waiting in arrival order
-	committed []commitRecord // X_committed, in commit-sequence order
-	commitQ   []TxID         // transactions queued for the committer slot
+	holders []holder     // X_pending ∪ X_committing ∪ released reads
+	waiting []*waitEntry // X_waiting in arrival order
+	commitQ []TxID       // transactions queued for the committer slot
 }
 
 // member returns the named member, nil when it was neither registered nor
@@ -214,20 +204,14 @@ func (o *object) conflictingHolders(tx TxID, op sem.Op) []TxID {
 	return out
 }
 
-// sleepConflict implements the awake-time checks of Algorithm 9 for one
-// object: a conflict with any transaction currently in X_pending ∪
-// X_committing (or holding a released read), or with any transaction
-// committed after the sleep (X_tc^B > A_tsleep, compared by commit
-// sequence).
-func (o *object) sleepConflict(tx TxID, op sem.Op, sleepSeq uint64) bool {
+// sleepConflict is the awake-time half of Algorithm 9 for one object: a
+// conflict with any transaction currently in X_pending ∪ X_committing (or
+// holding a released read). The other half, a conflicting commit during
+// the sleep, was decided when that commit published (doomSleepersLocked).
+func (o *object) sleepConflict(tx TxID, op sem.Op) bool {
 	for i := range o.holders {
 		h := &o.holders[i]
 		if h.tx != tx && o.conflict(op, h.op, o.deps) {
-			return true
-		}
-	}
-	for _, c := range o.committed {
-		if c.tx != tx && c.seq > sleepSeq && o.conflict(op, c.op, o.deps) {
 			return true
 		}
 	}
@@ -320,20 +304,4 @@ func (o *object) dropTx(tx TxID) {
 	o.removeHolder(tx)
 	o.removeWaiter(tx)
 	o.removeFromCommitQ(tx)
-}
-
-// pruneCommitted drops the history records at or below the GC horizon: no
-// sleeper went to sleep before them, so no awake check can still ask about
-// them. Records are in sequence order, so they form a prefix.
-func (o *object) pruneCommitted(horizon uint64) {
-	k := 0
-	for k < len(o.committed) && o.committed[k].seq <= horizon {
-		o.committed[k] = commitRecord{}
-		k++
-	}
-	if k == len(o.committed) {
-		o.committed = nil
-		return
-	}
-	o.committed = o.committed[k:]
 }

@@ -105,7 +105,7 @@ func NewObservability(reg *obs.Registry, traceDepth int) *Observability {
 	}
 	reg.GaugeFunc(obs.NameSSTQueueDepth, "Secure System Transactions queued for the executor.",
 		func() float64 { return float64(o.sstQueue.Load()) })
-	reg.GaugeFunc(obs.NameGCQueueDepth, "Committed operations queued for history pruning and version GC behind the horizon.",
+	reg.GaugeFunc(obs.NameGCQueueDepth, "Committed versions queued for chain GC behind the horizon (only open snapshots hold it back).",
 		func() float64 { return float64(o.gcQueueDepth.Load()) })
 	reg.GaugeFunc(obs.NameTerminalRetained, "Terminal transactions still answerable from the registry (bounded; oldest retired first).",
 		func() float64 { return float64(o.terminalRetained.Load()) })

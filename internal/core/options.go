@@ -21,7 +21,6 @@ type options struct {
 	headroom              func(ObjectID, sem.Value) int
 	denyHard              bool
 	recordHistory         bool
-	keepFullHistory       bool
 	conflict              ConflictFunc
 	sstRetries            int
 	sstRetryFilter        func(error) bool
@@ -81,12 +80,6 @@ func WithHardDenial() Option {
 // oldest leaving 1 024 at a time.
 func WithHistory() Option {
 	return func(o *options) { o.recordHistory = true }
-}
-
-// WithFullHistory disables pruning of per-object committed histories (the
-// X_committed/X_tc sets normally shrink to the earliest live A_tsleep).
-func WithFullHistory() Option {
-	return func(o *options) { o.keepFullHistory = true }
 }
 
 // WithSSTRetries makes the GTM retry a failed Secure System Transaction up

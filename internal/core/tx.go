@@ -35,10 +35,14 @@ type transaction struct {
 type txLive struct {
 	notify Notify
 
-	twait    time.Time // A_twait
-	tsleep   time.Time // A_tsleep
-	sleepSeq uint64    // commit sequence observed at sleep time
-	sleepNth uint64    // which of the manager's sleeps this is (see sleepEntry)
+	twait  time.Time // A_twait
+	tsleep time.Time // A_tsleep
+
+	// doomedBy names the first commit that published an op conflicting
+	// with one of this sleeper's (Algorithm 9's X_tc > A_tsleep case, set
+	// by doomSleepersLocked); the awake that follows aborts. Empty while
+	// no such commit has published.
+	doomedBy TxID
 
 	lastActivity time.Time // most recent client interaction (for the idle oracle)
 

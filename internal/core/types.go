@@ -23,9 +23,10 @@
 // object list when it turns terminal, and the registry keeps only the most
 // recent 16 384 terminal transactions (TerminalRetention) — older ones are
 // retired first-in first-out and then answer ErrUnknownTx, exactly as after
-// Forget, which remains for callers that want an id back at once. Per-object
-// commit histories and version chains are pruned behind the GC horizon (the
-// oldest sleeper or open snapshot) by work proportional to the commits
+// Forget, which remains for callers that want an id back at once. No
+// per-object commit history is kept: a commit dooms the sleepers it
+// conflicts with as it publishes. Version chains are pruned behind the GC
+// horizon (the oldest open snapshot) by work proportional to the commits
 // published, not to the number of registered objects.
 package core
 
@@ -101,7 +102,8 @@ const (
 	// AbortUser: the client requested the abort.
 	AbortUser AbortReason = iota
 	// AbortSleepConflict: an incompatible operation was admitted or
-	// committed while the transaction slept (Algorithm 9, third case).
+	// committed while the transaction slept (Algorithm 9, third case). A
+	// commit's doom carries a *DoomError as the cause.
 	AbortSleepConflict
 	// AbortSSTFailure: the Secure System Transaction was rejected by the
 	// LDBS (e.g. integrity constraint violation during reconciliation).
@@ -188,7 +190,7 @@ type Event struct {
 	Tx     TxID
 	Object ObjectID    // set for EvGranted
 	Reason AbortReason // set for EvAborted
-	Err    error       // set for EvAborted when a substrate error caused it
+	Err    error       // set for EvAborted when a substrate error or a dooming commit caused it
 }
 
 // Notify receives events for one transaction. Handlers are invoked outside
@@ -208,3 +210,15 @@ var (
 	ErrOneOpPerObj   = errors.New("core: transaction already has an invocation on object")
 	ErrDenied        = errors.New("core: invocation denied by admission policy")
 )
+
+// DoomError is the cause of an AbortSleepConflict decided at commit time:
+// By committed an operation that conflicts with one of the sleeper's while
+// it slept. It is the aborted transaction's TxInfo.Err and its EvAborted
+// event's Err.
+type DoomError struct {
+	By TxID
+}
+
+func (e *DoomError) Error() string {
+	return fmt.Sprintf("core: doomed by the commit of %s", e.By)
+}
